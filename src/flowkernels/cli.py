@@ -13,7 +13,6 @@ numerical or IO failure.
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 import sys
 from typing import Dict, List, Optional, Sequence
@@ -401,17 +400,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help=f"built-in preset: {', '.join(preset_names())}")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="best-effort cap on BLAS/OpenMP threads")
     sub.add_parser("list-systems", help="print the built-in system names")
     return parser
-
-
-def _set_threads(n: int) -> None:
-    # advisory only: honored by pools spun up after this point
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -435,10 +425,6 @@ def _dispatch(args) -> int:
         raise ConfigurationError(
             f"config is for command {cfg.command!r} but {args.command!r} was invoked"
         )
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
-        _set_threads(args.threads)
     outdir = pathlib.Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -121,19 +121,25 @@ def _locate_domain_violation(kernel, points):
             raise ConfigurationError(f"kernel invalid at point index {i}, x={x}: {exc}") from exc
 
 
+def kernel_blocks(kernel: Kernel, F: np.ndarray, lam: float, X: np.ndarray,
+                  anchor_point: np.ndarray):
+    """The residual matrix B, the anchor gradients G0 (dim, N) and the Gram
+    matrix K of one kernel on the points X, with F = f(X)."""
+    K, B = kernel.directional_pairwise(X, F, X)
+    B -= lam * K
+    return B, kernel.grad_x_pairwise(anchor_point[None, :], X)[0].T, K
+
+
 def assemble(problem: CollocationProblem) -> AssembledSystem:
     X = problem.points
     n = X.shape[0]
     kern = problem.kernel
+    F = eval_field(problem.system, X)
     try:
-        K = kern.pairwise(X, X)
-        Gx = kern.grad_x_pairwise(X, X)
-        G0 = kern.grad_x_pairwise(problem.anchor_point[None, :], X)[0].T
+        B, G0, K = kernel_blocks(kern, F, problem.lam, X, problem.anchor_point)
     except ConfigurationError:
         _locate_domain_violation(kern, X)
         raise
-    F = eval_field(problem.system, X)
-    B = np.einsum("ijd,id->ij", Gx, F) - problem.lam * K
 
     pen = problem.penalties
     T = np.empty((0, n))
@@ -260,11 +266,8 @@ def residual_field(solution: Solution, probes) -> np.ndarray:
     """Pointwise PDE residual f . grad(phi) - lam * phi on probes."""
     P = np.atleast_2d(np.asarray(probes, dtype=float))
     prob = solution.problem
-    G = prob.kernel.grad_x_pairwise(P, prob.points)      # (P, N, dim)
-    grad_phi = np.einsum("pnd,n->pd", G, solution.alpha)
-    phi = prob.kernel.pairwise(P, prob.points) @ solution.alpha
-    F = eval_field(prob.system, P)
-    return np.sum(F * grad_phi, axis=1) - prob.lam * phi
+    K, D = prob.kernel.directional_pairwise(P, eval_field(prob.system, P), prob.points)
+    return D @ solution.alpha - prob.lam * (K @ solution.alpha)
 
 
 def rescale_rmse(learned, reference):

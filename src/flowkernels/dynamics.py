@@ -209,7 +209,7 @@ def _duffing(delta: float = 0.5, beta: float = -1.0, alpha: float = 1.0) -> Syst
 
     def f(x):
         x1, x2 = x[..., 0], x[..., 1]
-        return np.stack([x2, -delta * x2 - beta * x1 - alpha * x1 ** 3], axis=-1)
+        return np.stack([x2, -delta * x2 - beta * x1 - alpha * x1 * x1 * x1], axis=-1)
 
     def jac(x):
         x1 = float(x[0])
@@ -350,9 +350,10 @@ def linearize(sys: SystemDef) -> LinearizationInfo:
 
 
 def nonlinear_part(sys: SystemDef, lin: LinearizationInfo, x: np.ndarray) -> np.ndarray:
-    """f(x) minus its linearization E x; vanishes to second order at 0."""
+    """f(x) minus its linearization E (x - x*); vanishes to second order at
+    the equilibrium x*."""
     x = np.asarray(x, dtype=float)
-    return eval_field(sys, x) - x @ lin.jacobian.T
+    return eval_field(sys, x) - (x - sys.equilibrium) @ lin.jacobian.T
 
 
 def _rk4_step(f, x, dt):

@@ -1,17 +1,18 @@
-"""Base kernels with analytic first derivatives, Gram assembly, mixtures.
+"""Base kernels with analytic first derivatives, and mixtures.
 
-Each family implements elementwise-vectorized ``eval`` and ``grad_x`` (the
-gradient in the first argument); pairwise matrices are produced by
-broadcasting, which is fast enough for the grid sizes this library targets
-(a few thousand points).  Families flagged ``psd_guaranteed = False``
-(sigmoid, and triangular outside 1-D) are admitted everywhere but skipped
-by positive-semidefiniteness checks.
+Each closed-form family defines its formula once, as a profile of
+r^2 = ||x-y||^2 (radial) or of s = <x,y> (dot product).  Values, gradients
+in the first argument, pairwise matrices and the directional matrix
+D_ij = F_i . grad_x k(X_i, Y_j) all come from it; pairwise work runs one
+(N, M) slab per dimension, so the assembly path builds no (N, M, d) array.
+Families flagged ``psd_guaranteed = False`` (sigmoid, and triangular
+outside 1-D) are admitted everywhere but skipped by positive-semidefiniteness
+checks.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .errors import ConfigurationError
 
 __all__ = [
     "Kernel",
+    "RadialKernel",
+    "DotProductKernel",
     "GaussianKernel",
     "ExponentialKernel",
     "CauchyKernel",
@@ -29,9 +32,7 @@ __all__ = [
     "Singular1dKernel",
     "RankOneKernel",
     "KernelMixture",
-    "GramMatrix",
     "make_kernel",
-    "gram",
     "kernel_family_names",
 ]
 
@@ -41,6 +42,24 @@ def _as2d(X):
     if X.ndim == 1:
         X = X[:, None]
     return X
+
+
+def _pair(X, Y):
+    X = _as2d(X)
+    Y = X if Y is None else _as2d(Y)
+    if X.shape[1] != Y.shape[1]:
+        raise ConfigurationError(
+            f"point sets have dimensions {X.shape[1]} and {Y.shape[1]}"
+        )
+    return X, Y
+
+
+def _contract(F, slab, dim):
+    """sum_j F[:, j] * slab(j), accumulated in dimension order."""
+    D = F[:, 0, None] * slab(0)
+    for j in range(1, dim):
+        D += F[:, j, None] * slab(j)
+    return D
 
 
 class Kernel:
@@ -59,39 +78,88 @@ class Kernel:
     def grad_x(self, x, y):
         raise NotImplementedError
 
-    def grad_x_flagged(self, x, y):
-        """Gradient plus a flag marking evaluation on a non-smooth locus."""
-        return self.grad_x(x, y), False
-
     # pairwise helpers -------------------------------------------------------
 
     def pairwise(self, X, Y=None):
         """Matrix k(X[i], Y[j]); Y defaults to X."""
-        X = _as2d(X)
-        Y = X if Y is None else _as2d(Y)
-        if X.shape[1] != Y.shape[1]:
-            raise ConfigurationError(
-                f"point sets have dimensions {X.shape[1]} and {Y.shape[1]}"
-            )
+        X, Y = _pair(X, Y)
         return self.eval(X[:, None, :], Y[None, :, :])
 
     def grad_x_pairwise(self, X, Y=None):
         """Array of shape (n, m, d): gradient of k in x at (X[i], Y[j])."""
-        X = _as2d(X)
-        Y = X if Y is None else _as2d(Y)
+        X, Y = _pair(X, Y)
         return self.grad_x(X[:, None, :], Y[None, :, :])
+
+    def directional_pairwise(self, X, F, Y=None):
+        """K_ij = k(X[i], Y[j]) and D_ij = F[i] . grad_x k(X[i], Y[j]).
+
+        F holds one direction per row of X, shape (n, d); both results
+        are (n, m).
+        """
+        G = self.grad_x_pairwise(X, Y)
+        return self.pairwise(X, Y), _contract(F, lambda j: G[..., j], G.shape[-1])
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
         return f"{type(self).__name__}({inner})"
 
 
-def _diff_r2(x, y):
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return d, np.sum(d * d, axis=-1)
+class _ProfileKernel(Kernel):
+    """Closed-form family: ``_parts(x, y)`` returns the values and a
+    function of j giving the j-th gradient component, on broadcast
+    (..., d) arrays; everything else is derived from it."""
+
+    def eval(self, x, y):
+        return self._parts(np.asarray(x, dtype=float), np.asarray(y, dtype=float))[0]
+
+    def grad_x(self, x, y):
+        x = np.asarray(x, dtype=float)
+        slab = self._parts(x, np.asarray(y, dtype=float))[1]
+        return np.stack([slab(j) for j in range(x.shape[-1])], axis=-1)
+
+    def directional_pairwise(self, X, F, Y=None):
+        X, Y = _pair(X, Y)
+        K, slab = self._parts(X[:, None, :], Y[None, :, :])
+        return K, _contract(F, slab, X.shape[1])
 
 
-class GaussianKernel(Kernel):
+class RadialKernel(_ProfileKernel):
+    """k(x, y) as a function of r^2 = ||x - y||^2.
+
+    ``profile(r2)`` returns (value, scale, coef) with gradient component
+    grad_j = (scale * d_j) * coef, d_j = x_j - y_j.
+    """
+
+    def _parts(self, x, y):
+        d = [x[..., j] - y[..., j] for j in range(x.shape[-1])]
+        r2 = d[0] * d[0]
+        for dj in d[1:]:
+            r2 = r2 + dj * dj
+        value, scale, coef = self.profile(r2)
+        return value, lambda j: (scale * d[j]) * coef
+
+
+class DotProductKernel(_ProfileKernel):
+    """k(x, y) as a function of s = <x, y>.
+
+    ``profile(s)`` returns (value, c) with gradient component grad_j = c * y_j.
+    """
+
+    def _parts(self, x, y):
+        s = x[..., 0] * y[..., 0]
+        for j in range(1, x.shape[-1]):
+            s = s + x[..., j] * y[..., j]
+        value, c = self.profile(s)
+        return value, lambda j: c * y[..., j]
+
+
+def _positive(name, value):
+    if value <= 0:
+        raise ConfigurationError(f"{name} must be positive, got {value}")
+    return float(value)
+
+
+class GaussianKernel(RadialKernel):
     """k(x,y) = exp(-gamma ||x-y||^2); accepts gamma directly or a
     length-scale ell with gamma = 1/(2 ell^2)."""
 
@@ -101,97 +169,69 @@ class GaussianKernel(Kernel):
         if (gamma is None) == (ell is None):
             raise ConfigurationError("gaussian kernel needs exactly one of gamma, ell")
         if ell is not None:
-            if ell <= 0:
-                raise ConfigurationError(f"ell must be positive, got {ell}")
+            ell = _positive("ell", ell)
             gamma = 1.0 / (2.0 * ell * ell)
-        if gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {gamma}")
-        super().__init__(gamma=float(gamma), ell=ell)
+        super().__init__(gamma=_positive("gamma", gamma), ell=ell)
         self.gamma = float(gamma)
 
-    def eval(self, x, y):
-        _, r2 = _diff_r2(x, y)
-        return np.exp(-self.gamma * r2)
-
-    def grad_x(self, x, y):
-        d, r2 = _diff_r2(x, y)
-        return -2.0 * self.gamma * d * np.exp(-self.gamma * r2)[..., None]
+    def profile(self, r2):
+        k = np.exp(-self.gamma * r2)
+        return k, -2.0 * self.gamma, k
 
 
-class ExponentialKernel(Kernel):
+class ExponentialKernel(RadialKernel):
     """k(x,y) = exp(-gamma ||x-y||).  Also registered as "laplacian";
-    the two names share this one formula."""
+    the two names share this one formula.  The gradient is 0 on the
+    diagonal, where the kernel has its kink."""
 
     family = "exponential"
-    smooth = False  # kink on the diagonal
+    smooth = False
 
     def __init__(self, gamma: float = 1.0):
-        if gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {gamma}")
-        super().__init__(gamma=float(gamma))
+        super().__init__(gamma=_positive("gamma", gamma))
         self.gamma = float(gamma)
 
-    def eval(self, x, y):
-        _, r2 = _diff_r2(x, y)
-        return np.exp(-self.gamma * np.sqrt(r2))
-
-    def grad_x(self, x, y):
-        d, r2 = _diff_r2(x, y)
+    def profile(self, r2):
         r = np.sqrt(r2)
-        safe = np.where(r > 0, r, 1.0)
-        g = -self.gamma * np.exp(-self.gamma * r) / safe
-        return np.where(r[..., None] > 0, g[..., None] * d, 0.0)
+        k = np.exp(-self.gamma * r)
+        return k, 1.0, np.where(r > 0, -self.gamma * k / np.where(r > 0, r, 1.0), 0.0)
 
 
-class CauchyKernel(Kernel):
+class CauchyKernel(RadialKernel):
     """k(x,y) = 1 / (1 + ||x-y||^2 / gamma^2)  (Cauchy-distribution scale)."""
 
     family = "cauchy"
 
     def __init__(self, gamma: float = 1.0):
-        if gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {gamma}")
-        super().__init__(gamma=float(gamma))
+        super().__init__(gamma=_positive("gamma", gamma))
         self.gamma = float(gamma)
 
-    def eval(self, x, y):
-        _, r2 = _diff_r2(x, y)
-        return 1.0 / (1.0 + r2 / self.gamma ** 2)
-
-    def grad_x(self, x, y):
-        d, r2 = _diff_r2(x, y)
+    def profile(self, r2):
         k = 1.0 / (1.0 + r2 / self.gamma ** 2)
-        return (-2.0 / self.gamma ** 2) * d * (k * k)[..., None]
+        return k, -2.0 / self.gamma ** 2, k * k
 
 
-class InverseQuadraticKernel(Kernel):
+class InverseQuadraticKernel(RadialKernel):
     """k(x,y) = 1 / (1 + gamma ||x-y||^2); coincides with cauchy at gamma=1."""
 
     family = "inverse_quadratic"
 
     def __init__(self, gamma: float = 1.0):
-        if gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {gamma}")
-        super().__init__(gamma=float(gamma))
+        super().__init__(gamma=_positive("gamma", gamma))
         self.gamma = float(gamma)
 
-    def eval(self, x, y):
-        _, r2 = _diff_r2(x, y)
-        return 1.0 / (1.0 + self.gamma * r2)
-
-    def grad_x(self, x, y):
-        d, r2 = _diff_r2(x, y)
+    def profile(self, r2):
         k = 1.0 / (1.0 + self.gamma * r2)
-        return -2.0 * self.gamma * d * (k * k)[..., None]
+        return k, -2.0 * self.gamma, k * k
 
 
-class TriangularKernel(Kernel):
+class TriangularKernel(RadialKernel):
     """Compactly supported cone k(x,y) = max(0, 1 - ||x-y|| / sigma).
 
     Positive semidefinite on the line but not in general dimension, so PSD
     checks treat it like the sigmoid.  At the support edge ||x-y|| = sigma
-    the gradient is the one-sided limit from inside the support, and
-    ``grad_x_flagged`` reports the hit.
+    the gradient is the one-sided limit from inside the support; on the
+    diagonal it is 0.
     """
 
     family = "triangular"
@@ -199,55 +239,33 @@ class TriangularKernel(Kernel):
     psd_guaranteed = False
 
     def __init__(self, sigma: float = 1.0):
-        if sigma <= 0:
-            raise ConfigurationError(f"sigma must be positive, got {sigma}")
-        super().__init__(sigma=float(sigma))
+        super().__init__(sigma=_positive("sigma", sigma))
         self.sigma = float(sigma)
 
-    def eval(self, x, y):
-        _, r2 = _diff_r2(x, y)
-        return np.maximum(0.0, 1.0 - np.sqrt(r2) / self.sigma)
-
-    def grad_x(self, x, y):
-        d, r2 = _diff_r2(x, y)
+    def profile(self, r2):
         r = np.sqrt(r2)
-        safe = np.where(r > 0, r, 1.0)
-        inside = (r <= self.sigma) & (r > 0)  # edge uses interior one-sided slope
-        g = np.where(inside, -1.0 / (self.sigma * safe), 0.0)
-        return g[..., None] * d
-
-    def grad_x_flagged(self, x, y):
-        _, r2 = _diff_r2(x, y)
-        hit = bool(np.any(np.isclose(np.sqrt(r2), self.sigma, rtol=0.0, atol=1e-12)))
-        return self.grad_x(x, y), hit
+        inside = (r <= self.sigma) & (r > 0)
+        slope = np.where(inside, -1.0 / (self.sigma * np.where(r > 0, r, 1.0)), 0.0)
+        return np.maximum(0.0, 1.0 - r / self.sigma), 1.0, slope
 
 
-class SigmoidKernel(Kernel):
+class SigmoidKernel(DotProductKernel):
     """k(x,y) = tanh(gamma <x,y> + coef0); indefinite, admitted anyway."""
 
     family = "sigmoid"
     psd_guaranteed = False
 
     def __init__(self, gamma: float = 1.0, coef0: float = 0.0):
-        if gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {gamma}")
-        super().__init__(gamma=float(gamma), coef0=float(coef0))
+        super().__init__(gamma=_positive("gamma", gamma), coef0=float(coef0))
         self.gamma = float(gamma)
         self.coef0 = float(coef0)
 
-    def eval(self, x, y):
-        s = np.sum(np.asarray(x, dtype=float) * np.asarray(y, dtype=float), axis=-1)
-        return np.tanh(self.gamma * s + self.coef0)
-
-    def grad_x(self, x, y):
-        y = np.asarray(y, dtype=float)
-        k = self.eval(x, y)
-        return (self.gamma * (1.0 - k * k))[..., None] * np.broadcast_to(
-            y, np.broadcast_shapes(np.shape(x), np.shape(y))
-        )
+    def profile(self, s):
+        k = np.tanh(self.gamma * s + self.coef0)
+        return k, self.gamma * (1.0 - k * k)
 
 
-class PolynomialKernel(Kernel):
+class PolynomialKernel(DotProductKernel):
     """k(x,y) = (<x,y> + coef0)^degree."""
 
     family = "polynomial"
@@ -266,17 +284,9 @@ class PolynomialKernel(Kernel):
         self.degree = int(degree)
         self.coef0 = float(coef0)
 
-    def eval(self, x, y):
-        s = np.sum(np.asarray(x, dtype=float) * np.asarray(y, dtype=float), axis=-1)
-        return (s + self.coef0) ** self.degree
-
-    def grad_x(self, x, y):
-        y = np.asarray(y, dtype=float)
-        s = np.sum(np.asarray(x, dtype=float) * y, axis=-1)
-        c = self.degree * (s + self.coef0) ** (self.degree - 1)
-        return c[..., None] * np.broadcast_to(
-            y, np.broadcast_shapes(np.shape(x), np.shape(y))
-        )
+    def profile(self, s):
+        b = s + self.coef0
+        return b ** self.degree, self.degree * b ** (self.degree - 1)
 
 
 class Singular1dKernel(Kernel):
@@ -348,13 +358,11 @@ class RankOneKernel(Kernel):
         return xiy[..., None] * self._grad_xi(x)
 
     def pairwise(self, X, Y=None):
-        X = _as2d(X)
-        Y = X if Y is None else _as2d(Y)
+        X, Y = _pair(X, Y)
         return np.outer(np.asarray(self.xi(X)), np.asarray(self.xi(Y)))
 
     def grad_x_pairwise(self, X, Y=None):
-        X = _as2d(X)
-        Y = X if Y is None else _as2d(Y)
+        X, Y = _pair(X, Y)
         return np.asarray(self.xi(Y))[None, :, None] * self._grad_xi(X)[:, None, :]
 
 
@@ -393,25 +401,12 @@ class KernelMixture(Kernel):
             b * c.grad_x_pairwise(X, Y) for b, c in zip(self.weights, self.components)
         )
 
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Kernel matrix on a fixed point set, kept with its provenance."""
-
-    values: np.ndarray
-    points: np.ndarray
-    kernel: Kernel
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
-def gram(kernel: Kernel, points) -> GramMatrix:
-    """Assemble the symmetric Gram matrix K_ij = k(x_i, x_j)."""
-    X = _as2d(points)
-    K = kernel.pairwise(X)
-    return GramMatrix(values=K, points=X, kernel=kernel)
+    def directional_pairwise(self, X, F, Y=None):
+        K = D = 0
+        for b, c in zip(self.weights, self.components):
+            Kc, Dc = c.directional_pairwise(X, F, Y)
+            K, D = K + b * Kc, D + b * Dc
+        return K, D
 
 
 _FAMILIES = {

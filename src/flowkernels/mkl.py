@@ -19,7 +19,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.optimize
 
-from .collocation import CollocationProblem, PenaltyConfig, Solution, _solve_spd, solve
+from .collocation import (
+    CollocationProblem, PenaltyConfig, Solution, _solve_spd, kernel_blocks, rescale_rmse,
+    solve,
+)
 from .dynamics import SystemDef, eval_field, linearize
 from .errors import ConfigurationError, NumericalError
 from .kernels import (
@@ -109,18 +112,14 @@ class MKLResult:
 
 def _per_kernel_blocks(system, lam, points, anchor_point, kernels):
     """Stacked residual matrices, anchor gradients and Gram matrices,
-    one slab per base kernel.  The mixture versions are beta-linear
-    combinations of these."""
-    X = points
-    F = eval_field(system, X)
-    Bs, G0s, Ks = [], [], []
-    for k in kernels:
-        K = k.pairwise(X, X)
-        Gx = k.grad_x_pairwise(X, X)
-        Bs.append(np.einsum("ijd,id->ij", Gx, F) - lam * K)
-        G0s.append(k.grad_x_pairwise(anchor_point[None, :], X)[0].T)
-        Ks.append(K)
-    return np.stack(Bs), np.stack(G0s), np.stack(Ks)
+    one slab per base kernel, from collocation's ``kernel_blocks``.  The
+    mixture versions are beta-linear combinations of these."""
+    F = eval_field(system, points)
+    (n, d), L = points.shape, len(kernels)
+    Bs, G0s, Ks = np.empty((L, n, n)), np.empty((L, d, n)), np.empty((L, n, n))
+    for l, k in enumerate(kernels):
+        Bs[l], G0s[l], Ks[l] = kernel_blocks(k, F, lam, points, anchor_point)
+    return Bs, G0s, Ks
 
 
 def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
@@ -188,8 +187,6 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
     if reference is not None:
         ref_vals = reference(X) if callable(reference) else np.asarray(reference, dtype=float)
         learned = np.tensordot(beta, Ks, axes=1) @ alpha
-        from .collocation import rescale_rmse
-
         c_star, rmse = rescale_rmse(learned, ref_vals)
         out = replace(out, rescale_factor=c_star, rmse_rescaled=rmse)
     return out

@@ -36,6 +36,7 @@ from .dynamics import (
     SystemDef,
     eval_field,
     flow,
+    nonlinear_part,
 )
 from .errors import ConfigurationError
 from .kernels import RankOneKernel
@@ -194,8 +195,7 @@ def theoretical_residual(ev: XiEvaluator, x) -> float:
     d = cfg.direction
     x = np.asarray(x, dtype=float)
     traj = flow(ev.system, x, IntegratorConfig(cfg.dt, cfg.M), direction=d)
-    end = traj.final
-    fnl = eval_field(ev.system, end) - (end - ev.system.equilibrium) @ ev.lin.jacobian.T
+    fnl = nonlinear_part(ev.system, ev.lin, traj.final)
     return float(np.exp(-cfg.lam * d * cfg.T) * (fnl @ cfg.w))
 
 

@@ -154,10 +154,6 @@ class TestExitCodes:
     def test_command_mismatch(self, tmp_path):
         assert main(["mkl", "--preset", "cubic1d_rbf", "--out", str(tmp_path)]) == 2
 
-    def test_bad_threads(self, tmp_path):
-        assert main(["unify", "--preset", "unify_advection", "--threads", "0",
-                     "--out", str(tmp_path)]) == 2
-
     def test_numerical_failure_is_3(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_LAM_INI)
         with np.errstate(over="ignore"):

@@ -170,6 +170,13 @@ def test_nonlinear_part_of_linear_system_vanishes():
     rng = np.random.default_rng(1)
     X = rng.uniform(-5, 5, size=(40, 2))
     np.testing.assert_allclose(dyn.nonlinear_part(sys, lin, X), 0.0, atol=1e-12)
+    # f(x) = A (x - c): the linearization is taken about the shifted equilibrium
+    A, c = np.array([[0.7, 0.2], [0.0, -1.3]]), np.array([1.5, -2.0])
+    shifted = dyn.SystemDef("shifted_linear", 2, lambda x: (x - c) @ A.T,
+                            lambda x: A, equilibrium=c)
+    np.testing.assert_allclose(
+        dyn.nonlinear_part(shifted, dyn.linearize(shifted), X), 0.0, atol=1e-12
+    )
 
 
 # ----------------------------------------------------------------------------

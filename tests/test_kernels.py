@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from flowkernels import kernels as kn
+from flowkernels.collocation import CollocationProblem, assemble, residual_field, solve
+from flowkernels.dynamics import eval_field, make_system
 from flowkernels.errors import ConfigurationError
+from flowkernels.grids import tensor_grid
+from flowkernels.mkl import default_kernel_bank
 
 ALL_FAMILIES = [
     kn.GaussianKernel(gamma=1.0),
@@ -95,7 +99,7 @@ def test_gram_positive_semidefinite(k):
     for seed in range(3):
         rng = np.random.default_rng(seed)
         X = rng.uniform(-1, 1, (50, 2))
-        G = kn.gram(k, X).values
+        G = k.pairwise(X)
         mineig = np.linalg.eigvalsh(G).min()
         assert mineig >= -1e-8 * G.diagonal().max()
 
@@ -104,14 +108,14 @@ def test_triangular_gram_psd_on_line():
     # compact-support cone kernel is a valid covariance in one dimension
     k = kn.TriangularKernel(sigma=0.8)
     X = np.linspace(-1, 1, 40)[:, None]
-    G = kn.gram(k, X).values
+    G = k.pairwise(X)
     assert np.linalg.eigvalsh(G).min() >= -1e-8 * G.diagonal().max()
 
 
 def test_singular_gram_is_rank_one():
     k = kn.Singular1dKernel()
     X = np.linspace(-0.9, 0.9, 30)[:, None]
-    s = np.linalg.svd(kn.gram(k, X).values, compute_uv=False)
+    s = np.linalg.svd(k.pairwise(X), compute_uv=False)
     assert s[1] <= 1e-10 * s[0]
 
 
@@ -156,11 +160,7 @@ def test_gaussian_gradient_vanishes_on_diagonal():
 def test_triangular_edge_flag():
     k = kn.TriangularKernel(sigma=1.0)
     x, y = np.array([1.0, 0.0]), np.array([0.0, 0.0])
-    g, hit = k.grad_x_flagged(x, y)
-    assert hit
-    np.testing.assert_allclose(g, [-1.0, 0.0], atol=1e-12)  # interior slope
-    _, nohit = k.grad_x_flagged(np.array([0.5, 0.0]), y)
-    assert not nohit
+    np.testing.assert_allclose(k.grad_x(x, y), [-1.0, 0.0], atol=1e-12)  # interior slope
 
 
 # ----------------------------------------------------------------------------
@@ -169,15 +169,15 @@ def test_triangular_edge_flag():
 
 def test_gram_single_point():
     k = kn.PolynomialKernel(degree=2, coef0=0.5)
-    G = kn.gram(k, np.array([[1.0, 0.0]]))
-    assert G.values.shape == (1, 1)
-    assert G.values[0, 0] == pytest.approx(2.25)
+    G = k.pairwise(np.array([[1.0, 0.0]]))
+    assert G.shape == (1, 1)
+    assert G[0, 0] == pytest.approx(2.25)
 
 
 def test_gram_gaussian_strictly_positive():
     k = kn.GaussianKernel(gamma=1.0)
     X = np.linspace(-1, 1, 10)[:, None]
-    assert np.linalg.eigvalsh(kn.gram(k, X).values).min() > 0
+    assert np.linalg.eigvalsh(k.pairwise(X)).min() > 0
 
 
 def test_rank_one_kernel_gram():
@@ -195,6 +195,57 @@ def test_rank_one_fd_gradient():
     x, y = np.array([0.4, 0.7]), np.array([-0.2, 0.3])
     expected = xi(y) * np.array([np.cos(0.4) * 0.7, np.sin(0.4)])
     np.testing.assert_allclose(k.grad_x(x, y), expected, atol=1e-9)
+
+
+# ----------------------------------------------------------------------------
+# the directional assembly path against the (N, N, d) gradient tensor
+# ----------------------------------------------------------------------------
+
+def _tensor_reference(k, system, lam, X, Y=None):
+    """K and B = F . grad_x K - lam K built from the full gradient tensor."""
+    G = k.grad_x_pairwise(X, Y)
+    K = k.pairwise(X, Y)
+    return K, np.einsum("ijd,id->ij", G, eval_field(system, X)) - lam * K, G
+
+
+@pytest.mark.parametrize("k", ALL_FAMILIES, ids=lambda k: k.family)
+def test_directional_assembly_is_bit_identical_to_gradient_tensor(k):
+    system = make_system("poly2d")
+    X = tensor_grid([(-1.0, 1.0), (-1.0, 1.0)], 31)
+    prob = CollocationProblem.for_eigenvalue(system, -1.0, k, X)
+    asm = assemble(prob)
+    K, B, G = _tensor_reference(k, system, prob.lam, X)
+    assert np.array_equal(asm.K, K)
+    assert np.array_equal(asm.B, B)
+    assert np.array_equal(asm.G0, k.grad_x_pairwise(np.zeros((1, 2)), X)[0].T)
+    if k.family in ("exponential", "triangular"):
+        assert np.all(G[np.arange(len(X)), np.arange(len(X))] == 0.0)
+
+    # residual_field against the (P, N, d) formula, relative to the size of
+    # the terms that cancel in it
+    sol = solve(prob)
+    P = np.random.default_rng(17).uniform(-1.0, 1.0, (200, 2))
+    Kp, Bp, Gp = _tensor_reference(k, system, prob.lam, P, X)
+    ref = np.sum(eval_field(system, P) * np.einsum("pnd,n->pd", Gp, sol.alpha), axis=1)
+    ref -= prob.lam * (Kp @ sol.alpha)
+    scale = np.max((np.abs(Bp + prob.lam * Kp) + abs(prob.lam) * np.abs(Kp)) @ np.abs(sol.alpha))
+    np.testing.assert_allclose(residual_field(sol, P), ref, rtol=0, atol=1e-12 * scale)
+
+
+def test_directional_assembly_of_kernels_with_their_own_code():
+    poly2d, cubic = make_system("poly2d"), make_system("cubic1d")
+    X = tensor_grid([(-1.0, 1.0), (-1.0, 1.0)], 15)
+    bank = default_kernel_bank()
+    cases = [
+        (kn.KernelMixture(bank, np.full(len(bank), 1.0 / len(bank))), poly2d, X),
+        (kn.RankOneKernel(lambda x: x[..., 0] - x[..., 1] ** 2), poly2d, X),
+        (kn.Singular1dKernel(), cubic, np.linspace(-0.9, 0.9, 40)[:, None]),
+    ]
+    for k, system, pts in cases:
+        K, D = k.directional_pairwise(pts, eval_field(system, pts))
+        K_ref, B_ref, _ = _tensor_reference(k, system, 0.0, pts)
+        np.testing.assert_allclose(K, K_ref, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(D, B_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(B_ref)))
 
 
 # ----------------------------------------------------------------------------
@@ -250,8 +301,6 @@ def test_mixture_psd_flag_tracks_components():
 
 
 def test_uniform_eleven_kernel_bank_weights():
-    from flowkernels.mkl import default_kernel_bank
-
     bank = default_kernel_bank()
     assert len(bank) == 11
     beta = np.full(11, 1.0 / 11.0)
