@@ -7,6 +7,11 @@ anchor at the equilibrium (pinning grad(phi) to the left eigenvector so
 the zero function is excluded), and optional boundary penalties.  The
 objective is a strictly convex quadratic, so the solve is one symmetric
 positive-definite factorization.
+
+Kernel matrices are filled a block of rows at a time by the kernels'
+``directional_pairwise``, and the normal matrix is accumulated in place, so
+a solve holds about four (N, N) arrays at its peak: K, B, the normal matrix
+and the copy that the Cholesky factorization makes of it.
 """
 
 from __future__ import annotations
@@ -173,10 +178,16 @@ _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 
 def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Cholesky solve of A, retried on a copy with growing diagonal jitter."""
+    n = A.shape[0]
     scale = float(np.max(np.abs(np.diag(A)))) or 1.0
     for jit in _JITTERS:
+        Aj = A          # zero jitter would change no entry, so factor A itself
+        if jit:
+            Aj = A.copy()
+            Aj.flat[:: n + 1] += jit * scale
         try:
-            cf = scipy.linalg.cho_factor(A + jit * scale * np.eye(A.shape[0]), lower=True)
+            cf = scipy.linalg.cho_factor(Aj, lower=True)
             return scipy.linalg.cho_solve(cf, rhs)
         except scipy.linalg.LinAlgError:
             continue
@@ -186,16 +197,23 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     )
 
 
+def _normal_equations(B: np.ndarray, eta: float, terms) -> np.ndarray:
+    """B.T B / n + eta I + sum of mu M.T M over the (mu, M) pairs in terms,
+    accumulated in place in that order; pairs with an empty M are skipped."""
+    A = B.T @ B
+    A /= B.shape[0]
+    A.flat[:: A.shape[0] + 1] += eta
+    for mu, M in terms:
+        if M.size:
+            A += (mu * M.T) @ M
+    return A
+
+
 def normal_matrix(problem: CollocationProblem, asm: AssembledSystem) -> np.ndarray:
     """The (pre-jitter) normal-equation matrix of the quadratic objective."""
-    n = asm.B.shape[0]
     pen = problem.penalties
-    A = asm.B.T @ asm.B / n + pen.eta * np.eye(n) + pen.mu_grad * asm.G0.T @ asm.G0
-    if asm.T.size:
-        A = A + pen.mu_trace * asm.T.T @ asm.T
-    if asm.Y.size:
-        A = A + pen.mu_layer * asm.Y.T @ asm.Y
-    return A
+    return _normal_equations(asm.B, pen.eta, [(pen.mu_grad, asm.G0), (pen.mu_trace, asm.T),
+                                             (pen.mu_layer, asm.Y)])
 
 
 def solve(problem: CollocationProblem, reference: Optional[Callable] = None,
@@ -215,7 +233,7 @@ def solve(problem: CollocationProblem, reference: Optional[Callable] = None,
     w = problem.anchor_target
 
     if hard_anchor:
-        A0 = normal_matrix(problem, asm) - pen.mu_grad * asm.G0.T @ asm.G0
+        A0 = _normal_equations(asm.B, pen.eta, [(pen.mu_trace, asm.T), (pen.mu_layer, asm.Y)])
         d = asm.G0.shape[0]
         kkt = np.block([[A0, asm.G0.T], [asm.G0, np.zeros((d, d))]])
         try:

@@ -3,8 +3,10 @@
 Each closed-form family defines its formula once, as a profile of
 r^2 = ||x-y||^2 (radial) or of s = <x,y> (dot product).  Values, gradients
 in the first argument, pairwise matrices and the directional matrix
-D_ij = F_i . grad_x k(X_i, Y_j) all come from it; pairwise work runs one
-(N, M) slab per dimension, so the assembly path builds no (N, M, d) array.
+D_ij = F_i . grad_x k(X_i, Y_j) all come from it.  ``directional_pairwise``
+allocates its two (N, M) results once and fills them a block of rows at a
+time, one slab per dimension within each block, so the assembly path
+builds neither an (N, M, d) array nor any other (N, M) temporary.
 Families flagged ``psd_guaranteed = False`` (sigmoid, and triangular
 outside 1-D) are admitted everywhere but skipped by positive-semidefiniteness
 checks.
@@ -54,6 +56,11 @@ def _pair(X, Y):
     return X, Y
 
 
+# Entries per row block of a pairwise matrix: block temporaries stay small
+# enough to live in cache instead of streaming whole (N, M) arrays.
+_BLOCK_ENTRIES = 1 << 14
+
+
 def _contract(F, slab, dim):
     """sum_j F[:, j] * slab(j), accumulated in dimension order."""
     D = F[:, 0, None] * slab(0)
@@ -94,10 +101,26 @@ class Kernel:
         """K_ij = k(X[i], Y[j]) and D_ij = F[i] . grad_x k(X[i], Y[j]).
 
         F holds one direction per row of X, shape (n, d); both results
-        are (n, m).
+        are (n, m), written one block of rows at a time.
         """
-        G = self.grad_x_pairwise(X, Y)
-        return self.pairwise(X, Y), _contract(F, lambda j: G[..., j], G.shape[-1])
+        X, Y = _pair(X, Y)
+        n, m = len(X), len(Y)
+        K, D = np.empty((n, m)), np.empty((n, m))
+        block = self._directional_block(X, F, Y)
+        rows = max(1, _BLOCK_ENTRIES // max(m, 1))
+        for start in range(0, n, rows):
+            s = slice(start, start + rows)
+            K[s], D[s] = block(s)
+        return K, D
+
+    def _directional_block(self, X, F, Y):
+        """A function of a row slice s returning (K[s], D[s])."""
+
+        def block(s):
+            G = self.grad_x_pairwise(X[s], Y)
+            return self.pairwise(X[s], Y), _contract(F[s], lambda j: G[..., j], G.shape[-1])
+
+        return block
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -117,10 +140,12 @@ class _ProfileKernel(Kernel):
         slab = self._parts(x, np.asarray(y, dtype=float))[1]
         return np.stack([slab(j) for j in range(x.shape[-1])], axis=-1)
 
-    def directional_pairwise(self, X, F, Y=None):
-        X, Y = _pair(X, Y)
-        K, slab = self._parts(X[:, None, :], Y[None, :, :])
-        return K, _contract(F, slab, X.shape[1])
+    def _directional_block(self, X, F, Y):
+        def block(s):
+            K, slab = self._parts(X[s, None, :], Y[None, :, :])
+            return K, _contract(F[s], slab, X.shape[1])
+
+        return block
 
 
 class RadialKernel(_ProfileKernel):
@@ -322,7 +347,8 @@ class RankOneKernel(Kernel):
     """k(x,y) = xi(x) xi(y) for a scalar function xi of the state.
 
     The gradient uses an analytic ``xi_grad`` when supplied, otherwise
-    central finite differences with the given step.
+    central finite differences with the given step, all 2d probes of all
+    points in one call of xi.
     """
 
     family = "rank_one"
@@ -344,14 +370,11 @@ class RankOneKernel(Kernel):
             return np.asarray(self.xi_grad(x))
         h = self.fd_step
         flat = x.reshape(-1, x.shape[-1])
-        g = np.empty_like(flat)
-        for j in range(flat.shape[1]):
-            e = np.zeros(flat.shape[1])
-            e[j] = h
-            g[:, j] = (
-                np.asarray(self.xi(flat + e)) - np.asarray(self.xi(flat - e))
-            ) / (2.0 * h)
-        return g.reshape(x.shape)
+        n, d = flat.shape
+        steps = h * np.eye(d)
+        probes = np.concatenate([flat + e for e in steps] + [flat - e for e in steps])
+        v = np.asarray(self.xi(probes)).reshape(2, d, n)
+        return ((v[0] - v[1]) / (2.0 * h)).T.reshape(x.shape)
 
     def grad_x(self, x, y):
         xiy = np.asarray(self.xi(np.asarray(y, dtype=float)))
@@ -364,6 +387,18 @@ class RankOneKernel(Kernel):
     def grad_x_pairwise(self, X, Y=None):
         X, Y = _pair(X, Y)
         return np.asarray(self.xi(Y))[None, :, None] * self._grad_xi(X)[:, None, :]
+
+    def _directional_block(self, X, F, Y):
+        # xi and its gradient once for all blocks; xi(Y) serves X when Y is X
+        xi_y = np.asarray(self.xi(Y))
+        xi_x = xi_y if Y is X else np.asarray(self.xi(X))
+        g = self._grad_xi(X)
+
+        def block(s):
+            D = _contract(F[s], lambda j: xi_y * g[s, j, None], X.shape[1])
+            return np.outer(xi_x[s], xi_y), D
+
+        return block
 
 
 class KernelMixture(Kernel):
@@ -401,12 +436,17 @@ class KernelMixture(Kernel):
             b * c.grad_x_pairwise(X, Y) for b, c in zip(self.weights, self.components)
         )
 
-    def directional_pairwise(self, X, F, Y=None):
-        K = D = 0
-        for b, c in zip(self.weights, self.components):
-            Kc, Dc = c.directional_pairwise(X, F, Y)
-            K, D = K + b * Kc, D + b * Dc
-        return K, D
+    def _directional_block(self, X, F, Y):
+        blocks = [c._directional_block(X, F, Y) for c in self.components]
+
+        def block(s):
+            K = D = 0
+            for b, component_block in zip(self.weights, blocks):
+                Kc, Dc = component_block(s)
+                K, D = K + b * Kc, D + b * Dc
+            return K, D
+
+        return block
 
 
 _FAMILIES = {

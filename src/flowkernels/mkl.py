@@ -20,8 +20,8 @@ import numpy as np
 import scipy.optimize
 
 from .collocation import (
-    CollocationProblem, PenaltyConfig, Solution, _solve_spd, kernel_blocks, rescale_rmse,
-    solve,
+    CollocationProblem, PenaltyConfig, Solution, _normal_equations, _solve_spd, kernel_blocks,
+    rescale_rmse, solve,
 )
 from .dynamics import SystemDef, eval_field, linearize
 from .errors import ConfigurationError, NumericalError
@@ -136,19 +136,14 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
     kernels = cfg.base_kernels
     L, n = len(kernels), X.shape[0]
     Bs, G0s, Ks = _per_kernel_blocks(system, lam, X, anchor, kernels)
-    eye = np.eye(n)
-
-    def inner(beta):
-        B = np.tensordot(beta, Bs, axes=1)
-        G0 = np.tensordot(beta, G0s, axes=1)
-        A = B.T @ B / n + cfg.eta * eye + cfg.mu_grad * G0.T @ G0
-        alpha = _solve_spd(A, cfg.mu_grad * G0.T @ w)
-        return alpha, B, G0
 
     def objective(theta):
         v = np.exp(theta)
         beta = v / v.sum()
-        alpha, B, G0 = inner(beta)
+        B = np.tensordot(beta, Bs, axes=1)
+        G0 = np.tensordot(beta, G0s, axes=1)
+        alpha = _solve_spd(_normal_equations(B, cfg.eta, [(cfg.mu_grad, G0)]),
+                           cfg.mu_grad * G0.T @ w)
         r = B @ alpha
         a_gap = G0 @ alpha - w
         f = (r @ r) / n + cfg.eta * (alpha @ alpha) + cfg.mu_grad * (a_gap @ a_gap)
@@ -158,17 +153,27 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
         g = (2.0 / n) * np.einsum("lij,j,i->l", Bs, alpha, r)
         g += 2.0 * cfg.mu_grad * np.einsum("ldj,j,d->l", G0s, alpha, a_gap)
         grad_theta = beta * (g - beta @ g) + cfg.lam_l1 * v
-        return f, grad_theta
+        return f, grad_theta, alpha
+
+    # the initial trace entry, the optimizer's first call, the callback at
+    # each accepted iterate and the final alpha usually ask for the same
+    # theta; keep the last evaluation so each distinct theta is solved once
+    last = {"theta": None}
+
+    def evaluate(theta):
+        if last["theta"] is None or not np.array_equal(theta, last["theta"]):
+            last.update(theta=theta.copy(), value=objective(theta))
+        return last["value"]
 
     trace = []
 
     def record(theta):
-        trace.append(objective(theta)[0])
+        trace.append(evaluate(theta)[0])
 
     theta0 = np.zeros(L)
-    trace.append(objective(theta0)[0])
+    trace.append(evaluate(theta0)[0])
     res = scipy.optimize.minimize(
-        objective, theta0, jac=True, method="BFGS",
+        lambda theta: evaluate(theta)[:2], theta0, jac=True, method="BFGS",
         options={"gtol": cfg.gtol, "maxiter": cfg.max_iter},
         callback=record,
     )
@@ -176,7 +181,7 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
         raise NumericalError("mixture optimization diverged to a non-finite loss")
     v = np.exp(res.x)
     beta = v / v.sum()
-    alpha, B, G0 = inner(beta)
+    alpha = evaluate(res.x)[2]
 
     out = MKLResult(
         beta=beta, alpha=alpha,

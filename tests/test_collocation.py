@@ -1,11 +1,15 @@
 """Penalized collocation solver: assembly, solve, diagnostics, rescaling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from flowkernels.collocation import (
     CollocationProblem,
     PenaltyConfig,
+    _solve_spd,
     assemble,
     evaluate,
     gradient_at,
@@ -236,6 +240,38 @@ class TestSolve:
             tensor_grid([(-1, 1), (-1, 1)], 11),
         )
         assert np.array_equal(solve(prob).alpha, solve(prob).alpha)
+
+    def test_solve_peaks_at_about_four_matrices(self):
+        # K and B of the assembly, the normal matrix and the copy the
+        # Cholesky factorization takes of it
+        prob = CollocationProblem.for_eigenvalue(
+            make_system("poly2d"), -1.0, make_kernel("exponential", gamma=1.0),
+            tensor_grid([(-1, 1), (-1, 1)], 41),
+        )
+        n = prob.points.shape[0]
+        tracemalloc.start()
+        try:
+            solve(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * n * n * 8
+
+    def test_jitter_escalation_solves_the_jittered_matrix(self):
+        # the all-ones block has an exactly zero second pivot, so the
+        # factorization fails without jitter and succeeds with the first one
+        rng = np.random.default_rng(8)
+        M = rng.standard_normal((5, 5))
+        A = scipy.linalg.block_diag(np.ones((3, 3)), M @ M.T + 5.0 * np.eye(5))
+        rhs = rng.standard_normal(8)
+        with pytest.raises(scipy.linalg.LinAlgError):
+            scipy.linalg.cho_factor(A, lower=True)
+        A_before = A.copy()
+        scale = float(np.max(np.abs(np.diag(A))))
+        jittered = A + 1e-12 * scale * np.eye(8)
+        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(jittered, lower=True), rhs)
+        assert np.array_equal(_solve_spd(A, rhs), expected)
+        assert np.array_equal(A, A_before)
 
 
 class TestEvaluateAndGradient:

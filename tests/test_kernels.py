@@ -249,6 +249,64 @@ def test_directional_assembly_of_kernels_with_their_own_code():
 
 
 # ----------------------------------------------------------------------------
+# row-blocked directional assembly
+# ----------------------------------------------------------------------------
+
+BLOCKED_CASES = ALL_FAMILIES + [
+    kn.KernelMixture(ALL_FAMILIES[:3], [0.2, 0.3, 0.5]),
+    kn.RankOneKernel(lambda x: x[..., 0] - x[..., 1] ** 2 + np.sin(x[..., 1])),
+]
+
+
+@pytest.mark.parametrize("k", BLOCKED_CASES, ids=lambda k: k.family)
+def test_blocked_directional_assembly_equals_unblocked(k, monkeypatch):
+    system = make_system("poly2d")
+    X = tensor_grid([(-1.0, 1.0), (-1.0, 1.0)], 13)            # N = 169
+    P = np.random.default_rng(23).uniform(-1.0, 1.0, (50, 2))
+    cases = [(X, X), (P, X), (X, P)]
+    monkeypatch.setattr(kn, "_BLOCK_ENTRIES", 10 ** 9)        # one block
+    whole = [k.directional_pairwise(A, eval_field(system, A), Y) for A, Y in cases]
+    # 1000 entries: blocks of 5 rows (M = 169, last block ragged) and of 20
+    # rows (M = 50, ragged); 100 entries: one row per block when M = 169
+    for entries in (1000, 100):
+        monkeypatch.setattr(kn, "_BLOCK_ENTRIES", entries)
+        for (A, Y), (K, D) in zip(cases, whole):
+            Kb, Db = k.directional_pairwise(A, eval_field(system, A), Y)
+            assert np.array_equal(Kb, K)
+            assert np.array_equal(Db, D)
+
+
+def test_rank_one_assembly_evaluates_xi_four_times():
+    calls = []
+
+    def xi(x):
+        calls.append(len(x))
+        return x[..., 0] - x[..., 1] ** 2 + np.sin(x[..., 1])
+
+    system = make_system("poly2d")
+    X = tensor_grid([(-1.0, 1.0), (-1.0, 1.0)], 11)
+    prob = CollocationProblem.for_eigenvalue(system, -1.0, kn.RankOneKernel(xi), X)
+    asm = assemble(prob)
+    # xi(X), the stacked 2d finite-difference probes of X, xi(X) for the
+    # anchor gradients and the anchor's stacked probes
+    assert len(calls) == 4
+
+    # reference: one finite-difference call of xi per dimension, then the
+    # (N, N, d) gradient tensor contracted with F
+    h, F = 1e-5, eval_field(system, X)
+    g = np.empty_like(X)
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = h
+        g[:, j] = (xi(X + e) - xi(X - e)) / (2.0 * h)
+    K = np.outer(xi(X), xi(X))
+    G = xi(X)[None, :, None] * g[:, None, :]
+    B = np.einsum("ijd,id->ij", G, F) - prob.lam * K
+    np.testing.assert_allclose(asm.K, K, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(asm.B, B, rtol=1e-12, atol=1e-12 * np.max(np.abs(B)))
+
+
+# ----------------------------------------------------------------------------
 # mixtures
 # ----------------------------------------------------------------------------
 

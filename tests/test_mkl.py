@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from flowkernels import mkl
 from flowkernels.collocation import CollocationProblem, solve
 from flowkernels.dynamics import make_system, poly2d_reference_eigenfunctions
 from flowkernels.errors import ConfigurationError, NumericalError
@@ -112,6 +114,24 @@ class TestSolve:
             fp = _objective_pair(SYS, lam, w, grid, cfg, theta + e)[0]
             fm = _objective_pair(SYS, lam, w, grid, cfg, theta - e)[0]
             assert (fp - fm) / (2 * h) == pytest.approx(g[i], rel=1e-5, abs=1e-10)
+
+    @pytest.mark.parametrize("lam", [-1.0, 3.0])
+    def test_one_inner_solve_per_objective_evaluation(self, lam, monkeypatch):
+        solves, results = [], []
+        solve_spd, minimize = mkl._solve_spd, scipy.optimize.minimize
+
+        def counting_solve_spd(A, rhs):
+            solves.append(1)
+            return solve_spd(A, rhs)
+
+        def recording_minimize(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(mkl, "_solve_spd", counting_solve_spd)
+        monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
+        mkl_solve(SYS, lam, GRID, MKLConfig())
+        assert len(solves) == results[0].nfev
 
     def test_l1_never_grows_total_weight(self):
         totals = []
