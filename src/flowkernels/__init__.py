@@ -39,7 +39,6 @@ from .mkl import MKLConfig, MKLResult, mkl_solve, refit_pruned, sparsify
 from .path_integral import (
     PathIntegralConfig,
     XiEvaluator,
-    koopman_residual_T,
     make_evaluator,
     residual_values,
     xi_values,
@@ -85,7 +84,6 @@ __all__ = [
     "flow",
     "kernel_family_names",
     "koopman_mode_check",
-    "koopman_residual_T",
     "linearize",
     "make_evaluator",
     "make_kernel",

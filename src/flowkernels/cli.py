@@ -28,7 +28,7 @@ from .errors import ConfigurationError, FlowEscapeError, NumericalError
 from .grids import boundary_sets, tensor_grid
 from .kernels import KernelMixture, make_kernel
 from .mkl import MKLConfig, kernel_label, mkl_solve, pruned_mixture, refit_pruned, sparsify
-from .path_integral import make_evaluator, residual_values, xi_values
+from .path_integral import make_evaluator, residual_values
 from .spectral import mercer_decompose
 
 __all__ = ["main"]
@@ -218,7 +218,6 @@ def _run_mkl(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
         tau=cfg.get_float("mkl", "tau", 0.1),
         max_iter=cfg.get_int("mkl", "max_iter", 200),
         gtol=cfg.get_float("mkl", "gtol", 1e-6),
-        seed=cfg.seed,
     )
     ref = _reference_for(system.name, lam)
     result = sparsify(mkl_solve(system, lam, X, mcfg, reference=ref))
@@ -279,8 +278,7 @@ def _run_path_integral(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     ev = make_evaluator(system, lin, lam, T, M)
     X = _grid_points(cfg)
 
-    xi = xi_values(ev, X)
-    res = residual_values(ev, X)
+    xi, res = residual_values(ev, X)
     write_csv(
         outdir / f"{cfg.name}_xi.csv",
         _coord_headers(X.shape[1]) + ["xi", "residual"],

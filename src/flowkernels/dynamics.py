@@ -1,10 +1,11 @@
 """Vector fields, linearization data, and fixed-step flow maps.
 
 Every construction downstream (collocation matrices, path-integral
-coordinates, trajectory checks) consumes the three objects defined here:
-a ``SystemDef`` wrapping the right-hand side f, a ``LinearizationInfo``
+coordinates, trajectory checks) consumes what is defined here: a
+``SystemDef`` wrapping the right-hand side f, a ``LinearizationInfo``
 holding the equilibrium Jacobian with its real simple spectrum and left
-eigenvectors, and ``Trajectory`` batches produced by an RK4 flow map.
+eigenvectors, and an RK4 flow map that returns the final states and hands
+each step's stages to an optional hook.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "SystemDef",
     "LinearizationInfo",
     "IntegratorConfig",
-    "Trajectory",
     "make_system",
     "builtin_system_names",
     "eval_field",
@@ -113,30 +113,6 @@ class IntegratorConfig:
         if not (T > 0):
             raise ConfigurationError(f"horizon T must be positive, got {T}")
         return cls(dt=T / M, M=M)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """States sampled along one flow line (or a batch of them).
-
-    ``times`` holds the elapsed (unsigned) times 0, dt, ..., T in increasing
-    order; ``direction`` is +1 for forward flow and -1 for backward, so the
-    physical time of sample k is ``direction * times[k]``.  ``states`` has
-    shape (M+1, dim) for a single initial condition or (M+1, n, dim) for a
-    batch.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    direction: int = 1
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
-    def signed_times(self) -> np.ndarray:
-        return self.direction * self.times
 
 
 # ----------------------------------------------------------------------------
@@ -376,8 +352,9 @@ def flow(
     direction: str | int = "forward",
     escape_radius: float = DEFAULT_ESCAPE_RADIUS,
     on_step: Optional[Callable[[int, tuple, tuple], None]] = None,
-) -> Trajectory:
-    """Integrate x' = f(x) with fixed-step RK4 from one state or a batch.
+) -> np.ndarray:
+    """Integrate x' = f(x) with fixed-step RK4 from one state or a batch
+    and return the final state(s), shaped like ``x0``.
 
     ``direction`` is "forward"/+1 or "backward"/-1; backward integration
     simply runs the same scheme with negative steps.  If any state's sup-norm
@@ -386,7 +363,8 @@ def flow(
 
     ``on_step(k, ys, ks)``, when given, is called after step k (0-based)
     with the four RK4 stage states ``ys`` and their slopes ``ks = f(ys)``,
-    so quadratures along the flow can reuse the field evaluations.
+    so quadratures along the flow can reuse the field evaluations; the
+    step's initial state is ``ys[0]``.  No other states are kept.
     """
     d = {"forward": 1, "backward": -1, 1: 1, -1: -1}.get(direction)
     if d is None:
@@ -397,17 +375,13 @@ def flow(
             f"initial state dimension {x.shape[-1]} != system dimension {sys.dim}"
         )
     dt = d * cfg.dt
-    states = np.empty((cfg.M + 1,) + x.shape)
-    states[0] = x
     for k in range(cfg.M):
         x, ys, ks = _rk4_step(sys.f, x, dt)
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > escape_radius:
             raise FlowEscapeError(escape_time=(k + 1) * cfg.dt, radius=escape_radius)
-        states[k + 1] = x
         if on_step is not None:
             on_step(k, ys, ks)
-    times = cfg.dt * np.arange(cfg.M + 1)
-    return Trajectory(times=times, states=states, direction=d)
+    return x
 
 
 def characteristic_identity_residual(
@@ -427,7 +401,7 @@ def characteristic_identity_residual(
         return 0.0
     M = max(1, int(round(abs(t) / cfg.dt)))
     sub = IntegratorConfig(dt=abs(t) / M, M=M)
-    traj = flow(sys, x0, sub, direction=1 if t > 0 else -1)
+    end = flow(sys, x0, sub, direction=1 if t > 0 else -1)
     p0 = float(np.asarray(phi(np.asarray(x0, dtype=float))))
-    pt = float(np.asarray(phi(traj.final)))
+    pt = float(np.asarray(phi(end)))
     return abs(pt - np.exp(lam * t) * p0) / max(1.0, abs(p0))

@@ -31,11 +31,11 @@ __all__ = [
     "TriangularKernel",
     "SigmoidKernel",
     "PolynomialKernel",
-    "Singular1dKernel",
     "RankOneKernel",
     "KernelMixture",
     "make_kernel",
     "kernel_family_names",
+    "fd_value_and_grad",
 ]
 
 
@@ -59,6 +59,20 @@ def _pair(X, Y):
 # Entries per row block of a pairwise matrix: block temporaries stay small
 # enough to live in cache instead of streaming whole (N, M) arrays.
 _BLOCK_ENTRIES = 1 << 14
+
+
+def fd_value_and_grad(fn, x, h):
+    """fn(x) and its central-difference gradient, shapes (...) and (..., d),
+    from one call of fn on x stacked with its 2d probes
+    [x, x + h e_1, ..., x + h e_d, x - h e_1, ..., x - h e_d]."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1, x.shape[-1])
+    n, d = flat.shape
+    steps = h * np.eye(d)
+    probes = np.concatenate([flat] + [flat + e for e in steps] + [flat - e for e in steps])
+    v = np.asarray(fn(probes)).reshape(2 * d + 1, n)
+    grad = (v[1:d + 1] - v[d + 1:]) / (2.0 * h)
+    return v[0].reshape(x.shape[:-1]), grad.T.reshape(x.shape)
 
 
 def _contract(F, slab, dim):
@@ -106,21 +120,12 @@ class Kernel:
         X, Y = _pair(X, Y)
         n, m = len(X), len(Y)
         K, D = np.empty((n, m)), np.empty((n, m))
-        block = self._directional_block(X, F, Y)
+        block = self._directional_block(X, F, Y)  # row slice s -> (K[s], D[s])
         rows = max(1, _BLOCK_ENTRIES // max(m, 1))
         for start in range(0, n, rows):
             s = slice(start, start + rows)
             K[s], D[s] = block(s)
         return K, D
-
-    def _directional_block(self, X, F, Y):
-        """A function of a row slice s returning (K[s], D[s])."""
-
-        def block(s):
-            G = self.grad_x_pairwise(X[s], Y)
-            return self.pairwise(X[s], Y), _contract(F[s], lambda j: G[..., j], G.shape[-1])
-
-        return block
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -314,41 +319,12 @@ class PolynomialKernel(DotProductKernel):
         return b ** self.degree, self.degree * b ** (self.degree - 1)
 
 
-class Singular1dKernel(Kernel):
-    """Rank-one kernel p(x) p(y) with p(x) = x / sqrt(1 - x^2) on (-1, 1).
-
-    The factor blows up at the interval ends, which is exactly the point:
-    it spans functions with the boundary growth that bounded smooth kernels
-    cannot reach.
-    """
-
-    family = "singular_1d"
-
-    def _p(self, x):
-        x = np.asarray(x, dtype=float)
-        v = x[..., 0] if x.ndim and x.shape[-1] == 1 else x
-        if np.any(np.abs(v) >= 1.0):
-            raise ConfigurationError("singular_1d kernel is defined on |x| < 1 only")
-        return v / np.sqrt(1.0 - v * v)
-
-    def _dp(self, x):
-        x = np.asarray(x, dtype=float)
-        v = x[..., 0] if x.ndim and x.shape[-1] == 1 else x
-        return (1.0 - v * v) ** -1.5
-
-    def eval(self, x, y):
-        return self._p(x) * self._p(y)
-
-    def grad_x(self, x, y):
-        return (self._p(y) * self._dp(x))[..., None]
-
-
 class RankOneKernel(Kernel):
     """k(x,y) = xi(x) xi(y) for a scalar function xi of the state.
 
     The gradient uses an analytic ``xi_grad`` when supplied, otherwise
-    central finite differences with the given step, all 2d probes of all
-    points in one call of xi.
+    central finite differences with the given step: xi at all points and
+    at all their 2d probes in one call of xi.
     """
 
     family = "rank_one"
@@ -364,21 +340,15 @@ class RankOneKernel(Kernel):
             self.xi(np.asarray(y, dtype=float))
         )
 
-    def _grad_xi(self, x):
+    def _xi_and_grad(self, x):
         x = np.asarray(x, dtype=float)
-        if self.xi_grad is not None:
-            return np.asarray(self.xi_grad(x))
-        h = self.fd_step
-        flat = x.reshape(-1, x.shape[-1])
-        n, d = flat.shape
-        steps = h * np.eye(d)
-        probes = np.concatenate([flat + e for e in steps] + [flat - e for e in steps])
-        v = np.asarray(self.xi(probes)).reshape(2, d, n)
-        return ((v[0] - v[1]) / (2.0 * h)).T.reshape(x.shape)
+        if self.xi_grad is None:
+            return fd_value_and_grad(self.xi, x, self.fd_step)
+        return np.asarray(self.xi(x)), np.asarray(self.xi_grad(x))
 
     def grad_x(self, x, y):
         xiy = np.asarray(self.xi(np.asarray(y, dtype=float)))
-        return xiy[..., None] * self._grad_xi(x)
+        return xiy[..., None] * self._xi_and_grad(x)[1]
 
     def pairwise(self, X, Y=None):
         X, Y = _pair(X, Y)
@@ -386,13 +356,12 @@ class RankOneKernel(Kernel):
 
     def grad_x_pairwise(self, X, Y=None):
         X, Y = _pair(X, Y)
-        return np.asarray(self.xi(Y))[None, :, None] * self._grad_xi(X)[:, None, :]
+        return np.asarray(self.xi(Y))[None, :, None] * self._xi_and_grad(X)[1][:, None, :]
 
     def _directional_block(self, X, F, Y):
-        # xi and its gradient once for all blocks; xi(Y) serves X when Y is X
-        xi_y = np.asarray(self.xi(Y))
-        xi_x = xi_y if Y is X else np.asarray(self.xi(X))
-        g = self._grad_xi(X)
+        # xi and its gradient once for all blocks; xi(X) serves Y when Y is X
+        xi_x, g = self._xi_and_grad(X)
+        xi_y = xi_x if Y is X else np.asarray(self.xi(Y))
 
         def block(s):
             D = _contract(F[s], lambda j: xi_y * g[s, j, None], X.shape[1])
@@ -449,6 +418,25 @@ class KernelMixture(Kernel):
         return block
 
 
+def _singular_1d() -> RankOneKernel:
+    """Rank-one kernel p(x) p(y) with p(x) = x / sqrt(1 - x^2) on (-1, 1).
+
+    The factor blows up at the interval ends, which is exactly the point:
+    it spans functions with the boundary growth that bounded smooth kernels
+    cannot reach.
+    """
+
+    def p(x):
+        v = x[..., 0] if x.ndim and x.shape[-1] == 1 else x
+        if np.any(np.abs(v) >= 1.0):
+            raise ConfigurationError("singular_1d kernel is defined on |x| < 1 only")
+        return v / np.sqrt(1.0 - v * v)
+
+    kernel = RankOneKernel(p, xi_grad=lambda x: (1.0 - x * x) ** -1.5)
+    kernel.family = "singular_1d"
+    return kernel
+
+
 _FAMILIES = {
     "gaussian": GaussianKernel,
     "rbf": GaussianKernel,
@@ -459,7 +447,7 @@ _FAMILIES = {
     "triangular": TriangularKernel,
     "sigmoid": SigmoidKernel,
     "polynomial": PolynomialKernel,
-    "singular_1d": Singular1dKernel,
+    "singular_1d": _singular_1d,
 }
 
 
@@ -474,4 +462,7 @@ def make_kernel(family: str, **hyper) -> Kernel:
         raise ConfigurationError(
             f"unknown kernel family {family!r}; available: {', '.join(kernel_family_names())}"
         )
-    return _FAMILIES[fam](**hyper)
+    try:
+        return _FAMILIES[fam](**hyper)
+    except TypeError as exc:
+        raise ConfigurationError(f"bad arguments for kernel {fam!r}: {exc}") from exc

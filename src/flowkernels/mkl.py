@@ -79,7 +79,6 @@ class MKLConfig:
     tau: float = 0.1
     max_iter: int = 200
     gtol: float = 1e-6
-    seed: int = 0   # recorded for provenance; the optimizer is deterministic
 
     def __post_init__(self):
         object.__setattr__(self, "base_kernels", tuple(self.base_kernels))
@@ -127,7 +126,7 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
     """Learn simplex weights and coefficients for the residual objective.
 
     Deterministic: the optimizer is quasi-Newton with exact inner solves
-    and no stochastic component (cfg.seed is recorded, not consumed).
+    and no stochastic component, so it takes no seed.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     lin = linearize(system)

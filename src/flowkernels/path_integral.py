@@ -39,19 +39,15 @@ from .dynamics import (
     nonlinear_part,
 )
 from .errors import ConfigurationError
-from .kernels import RankOneKernel
+from .kernels import fd_value_and_grad
 
 __all__ = [
     "PathIntegralConfig",
     "XiEvaluator",
     "mode_kernel_select",
-    "xi_truncated",
     "xi_values",
-    "koopman_residual_T",
     "residual_values",
     "theoretical_residual",
-    "rank_one_kernel",
-    "combined_kernels",
 ]
 
 
@@ -92,7 +88,11 @@ def mode_kernel_select(lin: LinearizationInfo, lam: float, T: float = 10.0,
 
 @dataclass(frozen=True)
 class XiEvaluator:
-    """Bound system + linearization + path-integral plan, ready to evaluate."""
+    """Bound system + linearization + path-integral plan, ready to evaluate.
+
+    Calling it evaluates the coordinate, so ``RankOneKernel(ev)`` is the
+    rank-one kernel xi(x) xi(y) with central-difference gradients.
+    """
 
     system: SystemDef
     lin: LinearizationInfo
@@ -115,7 +115,8 @@ def make_evaluator(sys: SystemDef, lin: LinearizationInfo, lam: float,
 
 
 def xi_values(ev: XiEvaluator, X) -> np.ndarray:
-    """Evaluate the coordinate on a batch of states, shape (..., dim) -> (...)."""
+    """Evaluate the coordinate on a batch of states, shape (..., dim) -> (...);
+    a single state (dim,) gives a float."""
     cfg = ev.config
     X = np.asarray(X, dtype=float)
     squeeze = X.ndim == 1
@@ -138,49 +139,19 @@ def xi_values(ev: XiEvaluator, X) -> np.ndarray:
     return float(out) if squeeze else out
 
 
-def xi_truncated(ev: XiEvaluator, x) -> float:
-    """Single-state convenience wrapper around :func:`xi_values`."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ConfigurationError("xi_truncated expects a single state vector")
-    return float(xi_values(ev, x))
-
-
-def _xi_grad_fd(ev: XiEvaluator, x, h: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    probes = np.repeat(x[None, :], 2 * x.size, axis=0)
-    for j in range(x.size):
-        probes[2 * j, j] += h
-        probes[2 * j + 1, j] -= h
-    vals = xi_values(ev, probes)
-    return (vals[0::2] - vals[1::2]) / (2.0 * h)
-
-
-def koopman_residual_T(ev: XiEvaluator, x, fd_step: float = 1e-5) -> float:
-    """Pointwise transport defect f(x) . grad xi(x) - lam xi(x).
+def residual_values(ev: XiEvaluator, X, fd_step: float = 1e-5):
+    """The coordinate and its transport defect f(x) . grad xi(x) - lam xi(x)
+    on a batch of states (n, dim), both shaped (n,), from one flow of the
+    states stacked with their 2 dim central-difference probes.
 
     The gradient comes from central differences of the coordinate itself,
-    so this measures what an RKHS solver would see: how far the truncated
+    so the defect is what an RKHS solver would see: how far the truncated
     coordinate is from satisfying the rate equation at x.
     """
-    x = np.asarray(x, dtype=float)
-    g = _xi_grad_fd(ev, x, fd_step)
-    fx = eval_field(ev.system, x)
-    return float(fx @ g - ev.config.lam * xi_values(ev, x))
-
-
-def residual_values(ev: XiEvaluator, X, fd_step: float = 1e-5) -> np.ndarray:
-    """Batched :func:`koopman_residual_T`: one stacked flow for all probes."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, d = X.shape
-    probes = np.repeat(X[:, None, :], 2 * d, axis=1)
-    for j in range(d):
-        probes[:, 2 * j, j] += fd_step
-        probes[:, 2 * j + 1, j] -= fd_step
-    vals = xi_values(ev, probes.reshape(-1, d)).reshape(n, 2 * d)
-    grads = (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * fd_step)
+    xi, grads = fd_value_and_grad(ev, X, fd_step)
     F = eval_field(ev.system, X)
-    return np.sum(F * grads, axis=1) - ev.config.lam * xi_values(ev, X)
+    return xi, np.sum(F * grads, axis=1) - ev.config.lam * xi
 
 
 def theoretical_residual(ev: XiEvaluator, x) -> float:
@@ -188,41 +159,12 @@ def theoretical_residual(ev: XiEvaluator, x) -> float:
 
     Differentiating the identity xi_T = e^{-lam d T} w^T s_{dT}(x) along the
     field gives exactly e^{-lam d T} w^T fnl(s_{dT}(x)); the finite-difference
-    residual in :func:`koopman_residual_T` converges to this as the step and
-    quadrature errors vanish.
+    residual of :func:`residual_values` converges to this as the step and
+    quadrature errors vanish.  ``x`` is one state; returns a float.
     """
     cfg = ev.config
     d = cfg.direction
     x = np.asarray(x, dtype=float)
-    traj = flow(ev.system, x, IntegratorConfig(cfg.dt, cfg.M), direction=d)
-    fnl = nonlinear_part(ev.system, ev.lin, traj.final)
+    end = flow(ev.system, x, IntegratorConfig(cfg.dt, cfg.M), direction=d)
+    fnl = nonlinear_part(ev.system, ev.lin, end)
     return float(np.exp(-cfg.lam * d * cfg.T) * (fnl @ cfg.w))
-
-
-def rank_one_kernel(ev: XiEvaluator, fd_step: float = 1e-5) -> RankOneKernel:
-    """Kernel K(x,y) = xi(x) xi(y), gradients by central differences."""
-    return RankOneKernel(lambda X: xi_values(ev, X), fd_step=fd_step)
-
-
-def combined_kernels(ev_pos: XiEvaluator, ev_neg: XiEvaluator, experimental: bool = False):
-    """Combinations of the two mode kernels (sum / product of coordinates).
-
-    These are exploratory constructions and are excluded from the verified
-    surface of the library; pass ``experimental=True`` to acknowledge that.
-    """
-    if not experimental:
-        raise ConfigurationError(
-            "combined kernels are experimental; pass experimental=True to use them"
-        )
-    if ev_pos.config.lam <= 0 or ev_neg.config.lam >= 0:
-        raise ConfigurationError("expected one positive-rate and one negative-rate evaluator")
-
-    def k_sum(x, y):
-        return xi_values(ev_pos, x) * xi_values(ev_pos, y) + xi_values(
-            ev_neg, x
-        ) * xi_values(ev_neg, y)
-
-    def k_cross(x, y):
-        return xi_values(ev_pos, x) * xi_values(ev_neg, y)
-
-    return {"sum": k_sum, "cross": k_cross}

@@ -151,6 +151,16 @@ class TestExitCodes:
         path = write_config(tmp_path, bad)
         assert main(["mercer", "--config", path, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("kernel", ["family = gaussian\ngamma = 1\nwidth = 2",
+                                        "family = singular_1d\ngamma = 1"],
+                             ids=["gaussian", "singular_1d"])
+    def test_unknown_kernel_parameter_is_2(self, kernel, tmp_path, capsys):
+        bad = MERCER_INI.replace("family = gaussian\ngamma = 1", kernel)
+        path = write_config(tmp_path, bad)
+        assert main(["mercer", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "category=config" in err and "bad arguments for kernel" in err
+
     def test_command_mismatch(self, tmp_path):
         assert main(["mkl", "--preset", "cubic1d_rbf", "--out", str(tmp_path)]) == 2
 
@@ -201,6 +211,21 @@ class TestPresets:
         m = read_metrics(tmp_path / "cubic1d_singular_metrics.txt")
         assert float(m["rmse_rescaled"]) <= 5e-4
         assert float(m["residual_norm"]) < 1e-10
+
+    def test_path_integral_preset_flows_once(self, tmp_path, monkeypatch):
+        # xi and the transport residual come from one stacked flow of the
+        # grid and its finite-difference probes
+        from flowkernels import path_integral
+
+        calls, flow = [], path_integral.flow
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(path_integral, "flow", counted)
+        assert main(["path-integral", "--preset", "duffing_char", "--out", str(tmp_path)]) == 0
+        assert calls == [(5 * 625, 2)]
 
     def test_unify_preset_metrics(self, tmp_path):
         assert main(["unify", "--preset", "unify_advection", "--out", str(tmp_path)]) == 0

@@ -25,8 +25,8 @@ from flowkernels.dynamics import (
 )
 from flowkernels.errors import ConfigurationError, NumericalError
 from flowkernels.grids import boundary_sets, tensor_grid
-from flowkernels.kernels import RankOneKernel, Singular1dKernel, make_kernel
-from flowkernels.path_integral import make_evaluator, rank_one_kernel
+from flowkernels.kernels import RankOneKernel, make_kernel
+from flowkernels.path_integral import make_evaluator, residual_values
 
 
 def cubic_grid():
@@ -110,7 +110,7 @@ class TestAssemble:
     def test_domain_violation_identifies_point(self):
         pts = np.array([[0.5], [1.5]])
         prob = CollocationProblem(
-            system=make_system("cubic1d"), lam=1.0, kernel=Singular1dKernel(),
+            system=make_system("cubic1d"), lam=1.0, kernel=make_kernel("singular_1d"),
             points=pts, anchor_target=[1.0],
         )
         with pytest.raises(ConfigurationError, match="index 1"):
@@ -134,7 +134,7 @@ class TestSolve:
     def test_cubic1d_singular_kernel_recovers_reference(self):
         pts = cubic_grid()
         prob = CollocationProblem.for_eigenvalue(
-            make_system("cubic1d"), 1.0, Singular1dKernel(), pts, boundary_penalties(pts)
+            make_system("cubic1d"), 1.0, make_kernel("singular_1d"), pts, boundary_penalties(pts)
         )
         sol = solve(prob, reference=cubic_reference)
         assert sol.rmse_rescaled <= 5e-4
@@ -365,16 +365,14 @@ class TestResidualField:
         lin = linearize(sys_d)
         lam = lin.eigenvalues[0]
         ev = make_evaluator(sys_d, lin, lam, T=8.0, M=1600)
-        kern = rank_one_kernel(ev)
+        kern = RankOneKernel(ev)
         grid = tensor_grid([(-2, 2), (-2, 2)], 9)
         prob = CollocationProblem.for_eigenvalue(sys_d, lam, kern, grid)
         sol = solve(prob)
         c = float(np.sum(sol.alpha * ev(grid)))
         probes = np.array([[1.3, -0.4], [0.5, 0.5], [-1.1, 0.2]])
-        from flowkernels.path_integral import koopman_residual_T
-
         got = residual_field(sol, probes)
-        want = np.array([c * koopman_residual_T(ev, p) for p in probes])
+        want = np.array([c * residual_values(ev, [p])[1][0] for p in probes])
         np.testing.assert_allclose(got, want, rtol=1e-3, atol=1e-8)
 
     @pytest.mark.xfail(
@@ -389,7 +387,7 @@ class TestResidualField:
         lam = lin.eigenvalues[0]
         ev = make_evaluator(sys_d, lin, lam, T=15.0, M=1500)
         grid = tensor_grid([(-2, 2), (-2, 2)], 25)
-        prob = CollocationProblem.for_eigenvalue(sys_d, lam, rank_one_kernel(ev), grid)
+        prob = CollocationProblem.for_eigenvalue(sys_d, lam, RankOneKernel(ev), grid)
         sol = solve(prob)
         res = residual_field(sol, grid)
         phi = evaluate(sol, grid)

@@ -1,5 +1,7 @@
 """Vector fields, linearization, and the RK4 flow map."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,51 +185,70 @@ def test_nonlinear_part_of_linear_system_vanishes():
 # flow map
 # ----------------------------------------------------------------------------
 
+def _flow_states(system, x0, cfg):
+    """Every state of a flow, (M+1, ...), collected through its step hook."""
+    states = []
+    end = dyn.flow(system, x0, cfg, on_step=lambda k, ys, ks: states.append(ys[0]))
+    return np.stack(states + [end])
+
+
 def test_flow_fixed_point(duffing):
     cfg = dyn.IntegratorConfig.from_horizon(2.0, 200)
-    traj = dyn.flow(duffing, np.zeros(2), cfg)
-    assert np.max(np.abs(traj.states)) <= 1e-12
+    assert np.max(np.abs(_flow_states(duffing, np.zeros(2), cfg))) <= 1e-12
 
 
 def test_flow_scalar_exponential():
     sys = dyn.SystemDef("decay", 1, lambda x: -x, None, equilibrium=np.zeros(1))
     cfg = dyn.IntegratorConfig.from_horizon(1.0, 1000)
-    traj = dyn.flow(sys, np.array([1.0]), cfg)
-    assert abs(traj.final[0] - np.exp(-1.0)) <= 1e-8
-    assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(1.0)
+    end = dyn.flow(sys, np.array([1.0]), cfg)
+    assert abs(end[0] - np.exp(-1.0)) <= 1e-8
 
 
 def test_flow_backward_inverts_forward(poly):
     cfg = dyn.IntegratorConfig.from_horizon(0.5, 500)
     x0 = np.array([0.3, -0.2])
     fwd = dyn.flow(poly, x0, cfg, direction="forward")
-    back = dyn.flow(poly, fwd.final, cfg, direction="backward")
-    np.testing.assert_allclose(back.final, x0, atol=1e-10)
-    assert back.signed_times[-1] == pytest.approx(-0.5)
+    back = dyn.flow(poly, fwd, cfg, direction="backward")
+    np.testing.assert_allclose(back, x0, atol=1e-10)
 
 
 def test_duffing_attractor_capture(duffing):
     cfg = dyn.IntegratorConfig.from_horizon(50.0, 25000)
-    traj = dyn.flow(duffing, np.array([0.5, 0.0]), cfg)
-    assert np.linalg.norm(traj.final - np.array([1.0, 0.0])) <= 1e-3
+    end = dyn.flow(duffing, np.array([0.5, 0.0]), cfg)
+    assert np.linalg.norm(end - np.array([1.0, 0.0])) <= 1e-3
+
+
+def test_flow_keeps_no_trajectory(duffing):
+    # 2500 states for 1500 steps: storing every state would take
+    # (M+1) * n * d * 8 bytes = 60 MB
+    X0 = np.random.default_rng(4).uniform(-2.0, 2.0, (2500, 2))
+    cfg = dyn.IntegratorConfig.from_horizon(15.0, 1500)
+    tracemalloc.start()
+    try:
+        end = dyn.flow(duffing, X0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2 ** 20
+    assert end.shape == X0.shape
 
 
 def test_flow_batch_matches_single(poly):
     cfg = dyn.IntegratorConfig.from_horizon(1.0, 100)
     X0 = np.array([[0.1, 0.2], [-0.3, 0.05]])
-    batch = dyn.flow(poly, X0, cfg)
+    batch = _flow_states(poly, X0, cfg)
     for i in range(2):
-        single = dyn.flow(poly, X0[i], cfg)
-        np.testing.assert_allclose(batch.states[:, i], single.states, atol=1e-14)
+        single = _flow_states(poly, X0[i], cfg)
+        np.testing.assert_allclose(batch[:, i], single, atol=1e-14)
 
 
 def test_semigroup_property():
     sys = dyn.make_system("linear_test(0.5, -1.0)")
     x0 = np.array([1.0, 1.0])
     dt = 1e-3
-    one = dyn.flow(sys, x0, dyn.IntegratorConfig(dt, 1500)).final
-    first = dyn.flow(sys, x0, dyn.IntegratorConfig(dt, 700)).final
-    two = dyn.flow(sys, first, dyn.IntegratorConfig(dt, 800)).final
+    one = dyn.flow(sys, x0, dyn.IntegratorConfig(dt, 1500))
+    first = dyn.flow(sys, x0, dyn.IntegratorConfig(dt, 700))
+    two = dyn.flow(sys, first, dyn.IntegratorConfig(dt, 800))
     exact = np.array([np.exp(0.5 * 1.5), np.exp(-1.5)])
     single_err = np.linalg.norm(one - exact)
     assert np.linalg.norm(two - exact) <= 5 * max(single_err, 1e-15)
@@ -239,7 +260,7 @@ def test_rk4_is_fourth_order():
 
     def err(dt):
         M = int(round(1.0 / dt))
-        return abs(dyn.flow(sys, np.array([1.0]), dyn.IntegratorConfig(dt, M)).final[0]
+        return abs(dyn.flow(sys, np.array([1.0]), dyn.IntegratorConfig(dt, M))[0]
                    - np.exp(-1.0))
 
     ratio = err(0.02) / err(0.01)

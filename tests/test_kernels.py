@@ -46,7 +46,7 @@ def test_polynomial_value_and_gradient():
 
 
 def test_singular_kernel_values_and_domain():
-    k = kn.Singular1dKernel()
+    k = kn.make_kernel("singular_1d")
     assert k.eval(np.array([0.5]), np.array([0.5])) == pytest.approx(1 / 3, abs=1e-15)
     g = k.grad_x(np.array([0.0]), np.array([0.5]))
     assert g[0] == pytest.approx(0.5773502691896258, abs=1e-15)
@@ -86,7 +86,7 @@ def test_symmetry(k):
 
 
 def test_singular_symmetry():
-    k = kn.Singular1dKernel()
+    k = kn.make_kernel("singular_1d")
     rng = np.random.default_rng(8)
     x, y = rng.uniform(-0.95, 0.95, (2, 500, 1))
     assert np.max(np.abs(k.eval(x, y) - k.eval(y, x))) <= 1e-12
@@ -113,7 +113,7 @@ def test_triangular_gram_psd_on_line():
 
 
 def test_singular_gram_is_rank_one():
-    k = kn.Singular1dKernel()
+    k = kn.make_kernel("singular_1d")
     X = np.linspace(-0.9, 0.9, 30)[:, None]
     s = np.linalg.svd(k.pairwise(X), compute_uv=False)
     assert s[1] <= 1e-10 * s[0]
@@ -142,7 +142,7 @@ def test_gradient_matches_finite_differences(k):
 
 
 def test_singular_gradient_matches_fd():
-    k = kn.Singular1dKernel()
+    k = kn.make_kernel("singular_1d")
     rng = np.random.default_rng(12)
     h = 1e-6
     for _ in range(20):
@@ -239,7 +239,7 @@ def test_directional_assembly_of_kernels_with_their_own_code():
     cases = [
         (kn.KernelMixture(bank, np.full(len(bank), 1.0 / len(bank))), poly2d, X),
         (kn.RankOneKernel(lambda x: x[..., 0] - x[..., 1] ** 2), poly2d, X),
-        (kn.Singular1dKernel(), cubic, np.linspace(-0.9, 0.9, 40)[:, None]),
+        (kn.make_kernel("singular_1d"), cubic, np.linspace(-0.9, 0.9, 40)[:, None]),
     ]
     for k, system, pts in cases:
         K, D = k.directional_pairwise(pts, eval_field(system, pts))
@@ -276,7 +276,7 @@ def test_blocked_directional_assembly_equals_unblocked(k, monkeypatch):
             assert np.array_equal(Db, D)
 
 
-def test_rank_one_assembly_evaluates_xi_four_times():
+def test_rank_one_assembly_evaluates_xi_three_times():
     calls = []
 
     def xi(x):
@@ -287,9 +287,9 @@ def test_rank_one_assembly_evaluates_xi_four_times():
     X = tensor_grid([(-1.0, 1.0), (-1.0, 1.0)], 11)
     prob = CollocationProblem.for_eigenvalue(system, -1.0, kn.RankOneKernel(xi), X)
     asm = assemble(prob)
-    # xi(X), the stacked 2d finite-difference probes of X, xi(X) for the
-    # anchor gradients and the anchor's stacked probes
-    assert len(calls) == 4
+    # xi(X) fused with its 2d finite-difference probes, xi(X) for the anchor
+    # gradients, and the anchor fused with its probes
+    assert calls == [5 * len(X), len(X), 5]
 
     # reference: one finite-difference call of xi per dimension, then the
     # (N, N, d) gradient tensor contracted with F

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowkernels import dynamics as dyn, path_integral as pi
+from flowkernels.kernels import RankOneKernel, fd_value_and_grad
 from flowkernels.errors import (
     ConfigurationError,
     FlowEscapeError,
@@ -37,16 +38,16 @@ def test_equilibrium_maps_to_zero(poly, duffing):
     for s, lin in (poly, duffing):
         for lam in lin.eigenvalues:
             ev = pi.make_evaluator(s, lin, lam, T=3.0, M=600)
-            assert pi.xi_truncated(ev, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
+            assert pi.xi_values(ev, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_linear_system_is_exact(linear):
     s, lin = linear
     x = np.array([0.3, 0.8])
     ev1 = pi.make_evaluator(s, lin, 1.0, T=3.0, M=300)
-    assert pi.xi_truncated(ev1, x) == pytest.approx(0.3, abs=1e-13)
+    assert pi.xi_values(ev1, x) == pytest.approx(0.3, abs=1e-13)
     ev2 = pi.make_evaluator(s, lin, -2.0, T=3.0, M=300)
-    assert pi.xi_truncated(ev2, x) == pytest.approx(0.8, abs=1e-13)
+    assert pi.xi_values(ev2, x) == pytest.approx(0.8, abs=1e-13)
 
 
 def test_poly2d_fast_mode_matches_closed_form(poly):
@@ -54,7 +55,7 @@ def test_poly2d_fast_mode_matches_closed_form(poly):
     ev = pi.make_evaluator(s, lin, 3.0, T=2.0, M=2000)
     x = np.array([0.4, 0.3])
     v = dyn.poly2d_reference_eigenfunctions()[3.0]
-    assert pi.xi_truncated(ev, x) == pytest.approx(v(x), abs=1e-4)
+    assert pi.xi_values(ev, x) == pytest.approx(v(x), abs=1e-4)
 
 
 def test_quadrature_agrees_with_rescaled_endpoint(poly, duffing):
@@ -71,9 +72,9 @@ def test_quadrature_agrees_with_rescaled_endpoint(poly, duffing):
         for M in (500, 2000, 8000):
             ev = pi.make_evaluator(s, lin, lam, T=2.0, M=M)
             cfg = ev.config
-            traj = dyn.flow(s, x, dyn.IntegratorConfig(cfg.dt, cfg.M), cfg.direction)
-            endpoint = np.exp(-cfg.lam * cfg.direction * cfg.T) * (traj.final @ cfg.w)
-            errs.append(abs(pi.xi_truncated(ev, x) - endpoint))
+            end = dyn.flow(s, x, dyn.IntegratorConfig(cfg.dt, cfg.M), cfg.direction)
+            endpoint = np.exp(-cfg.lam * cfg.direction * cfg.T) * (end @ cfg.w)
+            errs.append(abs(pi.xi_values(ev, x) - endpoint))
         err_coarse = errs[1]
         assert err_coarse <= 2e-5
         if s.name == "poly2d":
@@ -91,21 +92,14 @@ def test_batch_matches_pointwise(duffing):
     X = rng.uniform(-1.5, 1.5, (8, 2))
     batch = pi.xi_values(ev, X)
     for i in range(8):
-        assert batch[i] == pytest.approx(pi.xi_truncated(ev, X[i]), abs=1e-14)
-
-
-def test_xi_truncated_rejects_batches(duffing):
-    s, lin = duffing
-    ev = pi.make_evaluator(s, lin, lin.eigenvalues[0], T=1.0, M=100)
-    with pytest.raises(ConfigurationError):
-        pi.xi_truncated(ev, np.zeros((3, 2)))
+        assert batch[i] == pytest.approx(pi.xi_values(ev, X[i]), abs=1e-14)
 
 
 def test_escaping_trajectory_raises(poly):
     s, lin = poly
     ev = pi.make_evaluator(s, lin, -1.0, T=10.0, M=2000)
     with pytest.raises(FlowEscapeError) as err:
-        pi.xi_truncated(ev, np.array([0.4, 0.3]))
+        pi.xi_values(ev, np.array([0.4, 0.3]))
     assert err.value.escape_time < 10.0
 
 
@@ -140,7 +134,7 @@ def test_mode_selection_rejects_unknown_rate(duffing):
 def test_residual_zero_for_linear_system(linear):
     s, lin = linear
     ev = pi.make_evaluator(s, lin, -2.0, T=3.0, M=600)
-    r = pi.koopman_residual_T(ev, np.array([0.4, -0.7]), fd_step=1e-5)
+    r = pi.residual_values(ev, [np.array([0.4, -0.7])], fd_step=1e-5)[1][0]
     assert abs(r) <= 1e-8
 
 
@@ -149,9 +143,28 @@ def test_residual_values_matches_pointwise(duffing):
     ev = pi.make_evaluator(s, lin, lin.eigenvalues[0], T=4.0, M=800)
     rng = np.random.default_rng(11)
     X = rng.uniform(-1.2, 1.2, size=(7, 2))
-    batch = pi.residual_values(ev, X)
-    single = np.array([pi.koopman_residual_T(ev, x) for x in X])
+    batch = pi.residual_values(ev, X)[1]
+    single = np.array([pi.residual_values(ev, [x])[1][0] for x in X])
     np.testing.assert_allclose(batch, single, rtol=0, atol=1e-10)
+
+
+def test_residual_values_equals_separate_evaluations(duffing):
+    # the stacked flow of X and its probes gives bit for bit what separate
+    # xi_values calls give: xi(X), and the residual built one dimension at
+    # a time from xi(X + h e_j) and xi(X - h e_j)
+    s, lin = duffing
+    ev = pi.make_evaluator(s, lin, lin.eigenvalues[0], T=4.0, M=800)
+    X = np.random.default_rng(12).uniform(-1.2, 1.2, size=(37, 2))
+    h = 1e-5
+    xi, res = pi.residual_values(ev, X, fd_step=h)
+    assert np.array_equal(xi, pi.xi_values(ev, X))
+    grads = np.empty_like(X)
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = h
+        grads[:, j] = (pi.xi_values(ev, X + e) - pi.xi_values(ev, X - e)) / (2.0 * h)
+    want = np.sum(dyn.eval_field(s, X) * grads, axis=1) - ev.config.lam * pi.xi_values(ev, X)
+    assert np.array_equal(res, want)
 
 
 def test_residual_matches_theory(duffing):
@@ -160,7 +173,7 @@ def test_residual_matches_theory(duffing):
     rng = np.random.default_rng(5)
     for _ in range(4):
         x = rng.uniform(-1.2, 1.2, 2)
-        fd = pi.koopman_residual_T(ev, x, fd_step=1e-4)
+        fd = pi.residual_values(ev, [x], fd_step=1e-4)[1][0]
         th = pi.theoretical_residual(ev, x)
         assert fd == pytest.approx(th, rel=2e-3, abs=1e-9)
 
@@ -171,8 +184,8 @@ def test_residual_suppressed_at_long_horizon(duffing):
     T = 40.0  # lam * T > 30
     ev = pi.make_evaluator(s, lin, lam, T=T, M=8000)
     x = np.array([0.9, 0.2])
-    r = pi.koopman_residual_T(ev, x, fd_step=1e-4)
-    assert abs(r) <= 1e-6 * (1.0 + abs(pi.xi_truncated(ev, x)))
+    r = pi.residual_values(ev, [x], fd_step=1e-4)[1][0]
+    assert abs(r) <= 1e-6 * (1.0 + abs(pi.xi_values(ev, x)))
 
 
 def test_residual_decays_at_dominant_rate(duffing):
@@ -217,7 +230,7 @@ def test_horizon_convergence_poly2d_fast_mode(poly):
     for T in Ts:
         ev1 = pi.make_evaluator(s, lin, 3.0, T=T, M=int(T * 4000))
         ev2 = pi.make_evaluator(s, lin, 3.0, T=2 * T, M=int(2 * T * 4000))
-        defect.append(abs(pi.xi_truncated(ev2, x) - pi.xi_truncated(ev1, x)))
+        defect.append(abs(pi.xi_values(ev2, x) - pi.xi_values(ev1, x)))
     slope = np.polyfit(Ts, np.log(defect), 1)[0]
     assert slope <= -0.8 * 3.0
 
@@ -230,7 +243,7 @@ def test_linear_consistency_gradient_at_equilibrium(poly, duffing):
             lam = lin.eigenvalues[0]
         ev = pi.make_evaluator(s, lin, lam, T=T, M=int(400 * T))
         _, w = lin.eigenpair(lam)
-        g = pi._xi_grad_fd(ev, np.zeros(2), 1e-5)
+        g = fd_value_and_grad(ev, np.zeros(2), 1e-5)[1]
         assert np.max(np.abs(g - w)) <= 1e-4
 
 
@@ -247,7 +260,7 @@ def test_transport_identity_along_flow(duffing):
             r = dyn.characteristic_identity_residual(
                 s, lambda z: pi.xi_values(ev, z), lam, x0, t, cfg
             )
-            xi0 = abs(pi.xi_truncated(ev, x0))
+            xi0 = abs(pi.xi_values(ev, x0))
             assert r <= 1e-2 * (1.0 + xi0)
 
 
@@ -258,7 +271,7 @@ def test_transport_identity_along_flow(duffing):
 def test_rank_one_kernel_properties(duffing):
     s, lin = duffing
     ev = pi.make_evaluator(s, lin, lin.eigenvalues[0], T=4.0, M=800)
-    k = pi.rank_one_kernel(ev)
+    k = RankOneKernel(ev)
     rng = np.random.default_rng(10)
     X = rng.uniform(-1.5, 1.5, (100, 2))
     diag = k.eval(X, X)
@@ -267,15 +280,3 @@ def test_rank_one_kernel_properties(duffing):
     sv = np.linalg.svd(G, compute_uv=False)
     assert sv[1] <= 1e-10 * sv[0]
     np.testing.assert_allclose(k.eval(X[:5], np.zeros(2)), 0.0, atol=1e-12)
-
-
-def test_combined_kernels_gatekeeping(duffing):
-    s, lin = duffing
-    pos = pi.make_evaluator(s, lin, lin.eigenvalues[0], T=2.0, M=200)
-    neg = pi.make_evaluator(s, lin, lin.eigenvalues[1], T=2.0, M=200)
-    with pytest.raises(ConfigurationError):
-        pi.combined_kernels(pos, neg)
-    ks = pi.combined_kernels(pos, neg, experimental=True)
-    x = np.array([0.2, 0.1])
-    assert ks["sum"](x, x) >= 0
-    assert np.isfinite(ks["cross"](x, np.array([0.5, -0.2])))
