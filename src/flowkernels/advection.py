@@ -22,7 +22,6 @@ __all__ = [
     "AdvectionProblem",
     "QuadratureRule",
     "green_advection",
-    "drift_decay_green",
     "resolvent_kernel_advection",
     "symmetrized_kernel",
     "symmetrized_resolvent",
@@ -69,7 +68,6 @@ class QuadratureRule:
     b: float
     n: int = 4001
     scheme: str = "trapezoid"
-    panel_order: int = 4
 
     def __post_init__(self):
         if self.n < 2:
@@ -94,8 +92,8 @@ class QuadratureRule:
             wts[0] *= 0.5
             wts[-1] *= 0.5
             return nodes, wts
-        # Gauss-Legendre panels
-        gx, gw = np.polynomial.legendre.leggauss(self.panel_order)
+        # four-point Gauss-Legendre panels
+        gx, gw = np.polynomial.legendre.leggauss(4)
         edges = np.linspace(lo, hi, m)
         half = 0.5 * np.diff(edges)
         mid = 0.5 * (edges[:-1] + edges[1:])
@@ -110,11 +108,6 @@ def green_advection(p: AdvectionProblem, x, xi):
     xi = np.asarray(xi, dtype=float)
     d = x - xi
     return np.where(d >= 0, np.exp(-(p.lam / p.c) * d), 0.0)
-
-
-# A decay term added to constant-drift transport gives the same operator as
-# advection with renamed constants, so the kernel is literally shared.
-drift_decay_green = green_advection
 
 
 def resolvent_kernel_advection(p: AdvectionProblem, x, y, alpha: float):

@@ -21,12 +21,12 @@ import numpy as np
 
 from . import __version__
 from .advection import AdvectionProblem, QuadratureRule, unification_check
-from .collocation import CollocationProblem, PenaltyConfig, evaluate, solve
+from .collocation import CollocationProblem, PenaltyConfig, solve
 from .config import COMMANDS, ExperimentConfig, preset, preset_names
 from .dynamics import builtin_system_names, linearize, make_system
 from .errors import ConfigurationError, FlowEscapeError, NumericalError
 from .grids import boundary_sets, tensor_grid
-from .kernels import KernelMixture, make_kernel
+from .kernels import make_kernel
 from .mkl import MKLConfig, kernel_label, mkl_solve, pruned_mixture, refit_pruned, sparsify
 from .path_integral import make_evaluator, residual_values
 from .spectral import mercer_decompose
@@ -165,6 +165,18 @@ def _coord_headers(dim: int) -> List[str]:
     return [f"x{i + 1}" for i in range(dim)]
 
 
+def _write_solution(path, X: np.ndarray, result, ref) -> None:
+    """The points and phi of a collocation or MKL result, plus the reference
+    and the rescaled absolute error when a closed form exists."""
+    headers = _coord_headers(X.shape[1]) + ["phi"]
+    columns = [X[:, i] for i in range(X.shape[1])] + [result.phi]
+    if ref is not None:
+        phi_ref = np.asarray(ref(X), dtype=float)
+        headers += ["phi_ref", "abs_err"]
+        columns += [phi_ref, np.abs(result.rescale_factor * result.phi - phi_ref)]
+    write_csv(path, headers, columns)
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners
 
@@ -179,16 +191,7 @@ def _run_solve(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     )
     ref = _reference_for(system.name, prob.lam)
     sol = solve(prob, reference=ref)
-
-    phi = evaluate(sol, X)
-    headers = _coord_headers(X.shape[1]) + ["phi"]
-    columns = [X[:, i] for i in range(X.shape[1])] + [phi]
-    if ref is not None:
-        phi_ref = np.asarray(ref(X), dtype=float)
-        scale = sol.rescale_factor if sol.rescale_factor is not None else 1.0
-        headers += ["phi_ref", "abs_err"]
-        columns += [phi_ref, np.abs(scale * phi - phi_ref)]
-    write_csv(outdir / f"{cfg.name}_solution.csv", headers, columns)
+    _write_solution(outdir / f"{cfg.name}_solution.csv", X, sol, ref)
 
     metrics = _base_metrics(cfg)
     metrics.update(
@@ -232,16 +235,7 @@ def _run_mkl(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
 
     # the solution this run stands for is the full learned mixture; the
     # pruned refit is an extra diagnostic when anything survives
-    mixture = KernelMixture(list(mcfg.base_kernels), result.beta)
-    phi = mixture.pairwise(X, X) @ result.alpha
-    headers = _coord_headers(X.shape[1]) + ["phi"]
-    columns = [X[:, i] for i in range(X.shape[1])] + [phi]
-    if ref is not None:
-        phi_ref = np.asarray(ref(X), dtype=float)
-        scale = result.rescale_factor if result.rescale_factor is not None else 1.0
-        headers += ["phi_ref", "abs_err"]
-        columns += [phi_ref, np.abs(scale * phi - phi_ref)]
-    write_csv(outdir / f"{cfg.name}_solution.csv", headers, columns)
+    _write_solution(outdir / f"{cfg.name}_solution.csv", X, result, ref)
 
     metrics = _base_metrics(cfg)
     metrics.update(

@@ -16,7 +16,7 @@ and the copy that the Cholesky factorization makes of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -159,6 +159,7 @@ def assemble(problem: CollocationProblem) -> AssembledSystem:
 @dataclass(frozen=True)
 class Solution:
     alpha: np.ndarray
+    phi: np.ndarray                 # phi on the collocation points, K alpha
     problem: CollocationProblem
     residual_norm: float            # ||B alpha||_2 / sqrt(N)
     anchor_error: float
@@ -174,27 +175,16 @@ class Solution:
             raise NumericalError("solution diagnostics contain non-finite values")
 
 
-_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
-
-
 def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve of A, retried on a copy with growing diagonal jitter."""
-    n = A.shape[0]
-    scale = float(np.max(np.abs(np.diag(A)))) or 1.0
-    for jit in _JITTERS:
-        Aj = A          # zero jitter would change no entry, so factor A itself
-        if jit:
-            Aj = A.copy()
-            Aj.flat[:: n + 1] += jit * scale
-        try:
-            cf = scipy.linalg.cho_factor(Aj, lower=True)
-            return scipy.linalg.cho_solve(cf, rhs)
-        except scipy.linalg.LinAlgError:
-            continue
-    raise NumericalError(
-        "normal equations not positive definite after jitter escalation "
-        f"(condition estimate {np.linalg.cond(A):.3e})"
-    )
+    """One Cholesky solve of A, which is left untouched.  A matrix that is not
+    numerically positive definite is an error, not something to perturb."""
+    try:
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), rhs)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"normal equations not positive definite ({exc}; condition estimate "
+            f"{np.linalg.cond(A):.3e}); a larger eta keeps them definite"
+        ) from exc
 
 
 def _normal_equations(B: np.ndarray, eta: float, terms) -> np.ndarray:
@@ -210,60 +200,49 @@ def _normal_equations(B: np.ndarray, eta: float, terms) -> np.ndarray:
 
 
 def normal_matrix(problem: CollocationProblem, asm: AssembledSystem) -> np.ndarray:
-    """The (pre-jitter) normal-equation matrix of the quadratic objective."""
+    """The normal-equation matrix of the quadratic objective."""
     pen = problem.penalties
     return _normal_equations(asm.B, pen.eta, [(pen.mu_grad, asm.G0), (pen.mu_trace, asm.T),
                                              (pen.mu_layer, asm.Y)])
 
 
-def solve(problem: CollocationProblem, reference: Optional[Callable] = None,
-          hard_anchor: bool = False) -> Solution:
+def _reference_fit(phi: np.ndarray, points: np.ndarray, reference):
+    """(c*, rescaled RMSE, raw RMSE) of phi against the reference eigenfunction
+    on the points, or three Nones without a reference; reference is a
+    callable or the values themselves."""
+    if reference is None:
+        return None, None, None
+    ref = reference(points) if callable(reference) else np.asarray(reference, dtype=float)
+    c_star, rmse_rescaled = rescale_rmse(phi, ref)
+    return c_star, rmse_rescaled, float(np.sqrt(np.mean((phi - ref) ** 2)))
+
+
+def solve(problem: CollocationProblem, reference: Optional[Callable] = None) -> Solution:
     """Minimize the penalized residual objective.
 
     reference: optional callable giving exact eigenfunction values on the
-    collocation points; fills the RMSE diagnostics.  hard_anchor switches
-    the gradient anchor from a quadratic penalty to an exact equality
-    constraint (KKT system).
+    collocation points; fills the RMSE diagnostics.
     """
     asm = assemble(problem)
     if not all(np.all(np.isfinite(m)) for m in (asm.B, asm.G0, asm.T, asm.Y)):
         raise NumericalError("assembled matrices contain non-finite entries")
     n = asm.B.shape[0]
-    pen = problem.penalties
     w = problem.anchor_target
-
-    if hard_anchor:
-        A0 = _normal_equations(asm.B, pen.eta, [(pen.mu_trace, asm.T), (pen.mu_layer, asm.Y)])
-        d = asm.G0.shape[0]
-        kkt = np.block([[A0, asm.G0.T], [asm.G0, np.zeros((d, d))]])
-        try:
-            sol = scipy.linalg.solve(kkt, np.concatenate([np.zeros(n), w]))
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(f"KKT system singular: {exc}") from exc
-        alpha = sol[:n]
-    else:
-        A = normal_matrix(problem, asm)
-        alpha = _solve_spd(A, pen.mu_grad * asm.G0.T @ w)
-
+    alpha = _solve_spd(normal_matrix(problem, asm), problem.penalties.mu_grad * asm.G0.T @ w)
+    phi = asm.K @ alpha
     deriv = asm.G0 @ alpha
-    sol = Solution(
+    c_star, rmse_rescaled, rmse_raw = _reference_fit(phi, problem.points, reference)
+    return Solution(
         alpha=alpha,
+        phi=phi,
         problem=problem,
         residual_norm=float(np.linalg.norm(asm.B @ alpha) / np.sqrt(n)),
         anchor_error=float(np.linalg.norm(deriv - w)),
         derivative_at_anchor=deriv,
+        rescale_factor=c_star,
+        rmse_raw=rmse_raw,
+        rmse_rescaled=rmse_rescaled,
     )
-    if reference is not None:
-        ref_vals = reference(problem.points) if callable(reference) else np.asarray(reference, dtype=float)
-        learned = asm.K @ alpha
-        c_star, rmse_rescaled = rescale_rmse(learned, ref_vals)
-        sol = replace(
-            sol,
-            rescale_factor=c_star,
-            rmse_raw=float(np.sqrt(np.mean((learned - ref_vals) ** 2))),
-            rmse_rescaled=rmse_rescaled,
-        )
-    return sol
 
 
 def evaluate(solution: Solution, probes) -> np.ndarray:

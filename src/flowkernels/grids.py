@@ -29,12 +29,12 @@ def tensor_grid(bounds, counts) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def boundary_sets(points, layer_frac: float = 0.9):
+def boundary_sets(points):
     """Split off the outermost points and the near-boundary band of a grid.
 
     Returns (trace, layer): trace holds points with some coordinate at its
     axis extreme; layer holds points whose scaled sup-norm distance from the
-    grid center exceeds ``layer_frac`` of the half-width.
+    grid center exceeds 0.9 of the half-width.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     lo = pts.min(axis=0)
@@ -47,5 +47,5 @@ def boundary_sets(points, layer_frac: float = 0.9):
     center = 0.5 * (lo + hi)
     half = np.where(span > 0, 0.5 * span, 1.0)
     scaled = np.abs(pts - center) / half
-    layer = pts[np.max(scaled, axis=1) > layer_frac]
+    layer = pts[np.max(scaled, axis=1) > 0.9]
     return trace, layer

@@ -7,7 +7,6 @@ from flowkernels.advection import (
     AdvectionProblem,
     QuadratureRule,
     analytic_exponential_kernel,
-    drift_decay_green,
     green_advection,
     resolvent_kernel_advection,
     symmetrized_kernel,
@@ -40,14 +39,6 @@ class TestGreenFunction:
     def test_speed_rescales_decay(self):
         p = AdvectionProblem(c=2.0, lam=1.0)
         assert green_advection(p, 1.0, 0.0) == pytest.approx(np.exp(-0.5), rel=1e-14)
-
-    def test_drift_decay_alias_is_same_kernel(self):
-        # constant-drift transport with decay is the very same operator, so
-        # the kernels must agree verbatim, not just approximately
-        p = unit_problem()
-        xs = np.linspace(-3, 3, 17)
-        assert np.array_equal(drift_decay_green(p, xs[:, None], xs[None, :]),
-                              green_advection(p, xs[:, None], xs[None, :]))
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -74,6 +74,31 @@ T = 10
 M = 500
 """
 
+NO_RIDGE_INI = """
+[experiment]
+name = no_ridge
+command = solve
+
+[system]
+name = poly2d
+
+[eigenvalue]
+index = 1
+
+[kernel]
+family = polynomial
+degree = 1
+coef0 = 0.5
+
+[grid]
+bounds = -1:1, -1:1
+counts = 21, 21
+
+[penalties]
+eta = 0
+mu_grad = 1e4
+"""
+
 TINY_LAM_INI = """
 [experiment]
 name = unify_bad
@@ -171,6 +196,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "category=numerical" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_singular_normal_matrix_is_3(self, tmp_path, capsys):
+        # without the ridge a degree-1 kernel leaves the normal matrix of rank
+        # 3 on 441 points; one factorization fails and nothing is perturbed
+        path = write_config(tmp_path, NO_RIDGE_INI)
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "category=numerical" in err and "condition estimate" in err
+        assert not (tmp_path / "no_ridge_solution.csv").exists()
 
     def test_flow_escape_is_4(self, tmp_path, capsys):
         path = write_config(tmp_path, ESCAPE_INI)

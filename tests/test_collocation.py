@@ -225,15 +225,6 @@ class TestSolve:
         sol = solve(prob)
         assert sol.anchor_error <= 1e-2 * np.linalg.norm(prob.anchor_target)
 
-    def test_hard_anchor_enforces_gradient_exactly(self):
-        prob = CollocationProblem.for_eigenvalue(
-            make_system("poly2d"), -1.0,
-            make_kernel("polynomial", degree=2, coef0=0.5),
-            tensor_grid([(-1, 1), (-1, 1)], 21),
-        )
-        sol = solve(prob, hard_anchor=True)
-        assert sol.anchor_error <= 1e-10
-
     def test_deterministic_resolve(self):
         prob = CollocationProblem.for_eigenvalue(
             make_system("poly2d"), -1.0, make_kernel("gaussian", gamma=1.0),
@@ -257,21 +248,33 @@ class TestSolve:
             tracemalloc.stop()
         assert peak <= 4.5 * n * n * 8
 
-    def test_jitter_escalation_solves_the_jittered_matrix(self):
-        # the all-ones block has an exactly zero second pivot, so the
-        # factorization fails without jitter and succeeds with the first one
+    def test_indefinite_normal_matrix_fails_without_retry(self, monkeypatch):
+        # the all-ones block has an exactly zero second pivot, so one
+        # factorization attempt fails; the error carries a condition estimate
         rng = np.random.default_rng(8)
         M = rng.standard_normal((5, 5))
         A = scipy.linalg.block_diag(np.ones((3, 3)), M @ M.T + 5.0 * np.eye(5))
         rhs = rng.standard_normal(8)
-        with pytest.raises(scipy.linalg.LinAlgError):
-            scipy.linalg.cho_factor(A, lower=True)
         A_before = A.copy()
-        scale = float(np.max(np.abs(np.diag(A))))
-        jittered = A + 1e-12 * scale * np.eye(8)
-        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(jittered, lower=True), rhs)
-        assert np.array_equal(_solve_spd(A, rhs), expected)
+        factored, cho_factor = [], scipy.linalg.cho_factor
+
+        def counting_cho_factor(*args, **kwargs):
+            factored.append(1)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting_cho_factor)
+        with pytest.raises(NumericalError, match="condition estimate"):
+            _solve_spd(A, rhs)
+        assert len(factored) == 1
         assert np.array_equal(A, A_before)
+
+    def test_phi_is_the_expansion_on_the_points(self):
+        prob = CollocationProblem.for_eigenvalue(
+            make_system("poly2d"), -1.0, make_kernel("gaussian", gamma=1.0),
+            tensor_grid([(-1, 1), (-1, 1)], 11),
+        )
+        sol = solve(prob)
+        assert np.array_equal(sol.phi, evaluate(sol, prob.points))
 
 
 class TestEvaluateAndGradient:
@@ -283,6 +286,7 @@ class TestEvaluateAndGradient:
         sol = solve(prob)
         zero = type(sol)(
             alpha=np.zeros_like(sol.alpha), problem=prob, residual_norm=0.0,
+            phi=np.zeros_like(sol.phi),
             anchor_error=float(np.linalg.norm(prob.anchor_target)),
             derivative_at_anchor=np.zeros(2),
         )

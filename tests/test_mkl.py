@@ -56,7 +56,7 @@ class TestConfig:
     def test_result_rejects_weights_off_simplex(self):
         with pytest.raises(NumericalError):
             MKLResult(
-                beta=np.array([0.7, 0.7]), alpha=np.zeros(3),
+                beta=np.array([0.7, 0.7]), alpha=np.zeros(3), phi=np.zeros(3),
                 kernel_labels=("a", "b"), loss_trace=np.zeros(1),
                 converged=True, config=small_cfg(),
             )
@@ -133,6 +133,12 @@ class TestSolve:
         mkl_solve(SYS, lam, GRID, MKLConfig())
         assert len(solves) == results[0].nfev
 
+    def test_phi_is_the_learned_mixture_on_the_points(self):
+        cfg = MKLConfig()
+        res = mkl_solve(SYS, 3.0, GRID, cfg)
+        mixture = KernelMixture(list(cfg.base_kernels), res.beta)
+        assert np.array_equal(res.phi, mixture.pairwise(GRID) @ res.alpha)
+
     def test_l1_never_grows_total_weight(self):
         totals = []
         for lam_l1 in (0.0, 0.1, 1.0, 10.0):
@@ -169,7 +175,6 @@ class TestSparsify:
     def test_uniform_bank_prunes_to_empty(self):
         sp = sparsify(self._uniform_result())
         assert sp.pruned_beta.size == 0
-        assert sp.pruned_rmse is None
 
     def test_empty_pruned_mixture_is_degenerate(self):
         sp = sparsify(self._uniform_result())
