@@ -36,13 +36,7 @@ from .collocation import (
     solve,
 )
 from .mkl import MKLConfig, MKLResult, mkl_solve, refit_pruned, sparsify
-from .path_integral import (
-    PathIntegralConfig,
-    XiEvaluator,
-    make_evaluator,
-    residual_values,
-    xi_values,
-)
+from .path_integral import XiEvaluator, residual_values, xi_values
 from .spectral import (
     MercerDecomposition,
     koopman_mode_check,
@@ -70,7 +64,6 @@ __all__ = [
     "MKLResult",
     "MercerDecomposition",
     "NumericalError",
-    "PathIntegralConfig",
     "PenaltyConfig",
     "QuadratureRule",
     "Solution",
@@ -85,7 +78,6 @@ __all__ = [
     "kernel_family_names",
     "koopman_mode_check",
     "linearize",
-    "make_evaluator",
     "make_kernel",
     "make_system",
     "mercer_decompose",

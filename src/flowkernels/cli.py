@@ -28,7 +28,7 @@ from .errors import ConfigurationError, FlowEscapeError, NumericalError
 from .grids import boundary_sets, tensor_grid
 from .kernels import make_kernel
 from .mkl import MKLConfig, kernel_label, mkl_solve, pruned_mixture, refit_pruned, sparsify
-from .path_integral import make_evaluator, residual_values
+from .path_integral import XiEvaluator, residual_values
 from .spectral import mercer_decompose
 
 __all__ = ["main"]
@@ -269,7 +269,7 @@ def _run_path_integral(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     lam = _resolve_lam(cfg, lin)
     T = cfg.get_float("path_integral", "T")
     M = cfg.get_int("path_integral", "M")
-    ev = make_evaluator(system, lin, lam, T, M)
+    ev = XiEvaluator(system, lin, lam, T, M)
     X = _grid_points(cfg)
 
     xi, res = residual_values(ev, X)
@@ -283,8 +283,8 @@ def _run_path_integral(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     mean_abs_res = float(np.mean(np.abs(res)))
     metrics = _base_metrics(cfg)
     metrics.update(
-        system=system.name, lam=ev.config.lam, T=T, M=M,
-        direction=ev.config.direction, n_points=X.shape[0],
+        system=system.name, lam=ev.lam, T=T, M=M,
+        direction=ev.direction, n_points=X.shape[0],
         mean_abs_xi=mean_abs_xi,
         mean_abs_residual=mean_abs_res,
         max_abs_residual=float(np.max(np.abs(res))),

@@ -181,9 +181,13 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), rhs)
     except scipy.linalg.LinAlgError as exc:
+        # the 2-norm condition number of a symmetric matrix, without an SVD
+        mags = np.abs(np.linalg.eigvalsh(A))
+        with np.errstate(divide="ignore"):
+            cond = mags.max() / mags.min()
         raise NumericalError(
             f"normal equations not positive definite ({exc}; condition estimate "
-            f"{np.linalg.cond(A):.3e}); a larger eta keeps them definite"
+            f"{cond:.3e}); a larger eta keeps them definite"
         ) from exc
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "make_kernel",
     "kernel_family_names",
     "fd_value_and_grad",
+    "FD_STEP",
 ]
 
 
@@ -59,6 +60,9 @@ def _pair(X, Y):
 # Entries per row block of a pairwise matrix: block temporaries stay small
 # enough to live in cache instead of streaming whole (N, M) arrays.
 _BLOCK_ENTRIES = 1 << 14
+
+# Central-difference step for gradients of a scalar function of the state.
+FD_STEP = 1e-5
 
 
 def fd_value_and_grad(fn, x, h):
@@ -323,17 +327,16 @@ class RankOneKernel(Kernel):
     """k(x,y) = xi(x) xi(y) for a scalar function xi of the state.
 
     The gradient uses an analytic ``xi_grad`` when supplied, otherwise
-    central finite differences with the given step: xi at all points and
+    central finite differences with step ``FD_STEP``: xi at all points and
     at all their 2d probes in one call of xi.
     """
 
     family = "rank_one"
 
-    def __init__(self, xi, xi_grad=None, fd_step: float = 1e-5):
-        super().__init__(fd_step=fd_step)
+    def __init__(self, xi, xi_grad=None):
+        super().__init__()
         self.xi = xi
         self.xi_grad = xi_grad
-        self.fd_step = float(fd_step)
 
     def eval(self, x, y):
         return np.asarray(self.xi(np.asarray(x, dtype=float))) * np.asarray(
@@ -343,7 +346,7 @@ class RankOneKernel(Kernel):
     def _xi_and_grad(self, x):
         x = np.asarray(x, dtype=float)
         if self.xi_grad is None:
-            return fd_value_and_grad(self.xi, x, self.fd_step)
+            return fd_value_and_grad(self.xi, x, FD_STEP)
         return np.asarray(self.xi(x)), np.asarray(self.xi_grad(x))
 
     def grad_x(self, x, y):

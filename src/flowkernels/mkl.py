@@ -81,6 +81,7 @@ class MKLConfig:
     gtol: float = 1e-6
 
     def __post_init__(self):
+        PenaltyConfig(eta=self.eta, mu_grad=self.mu_grad)  # the collocation penalty rule
         object.__setattr__(self, "base_kernels", tuple(self.base_kernels))
         if len(self.base_kernels) < 2:
             raise ConfigurationError("need at least 2 base kernels")

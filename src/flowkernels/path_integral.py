@@ -26,7 +26,7 @@ finite horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,12 +39,10 @@ from .dynamics import (
     nonlinear_part,
 )
 from .errors import ConfigurationError
-from .kernels import fd_value_and_grad
+from .kernels import FD_STEP, fd_value_and_grad
 
 __all__ = [
-    "PathIntegralConfig",
     "XiEvaluator",
-    "mode_kernel_select",
     "xi_values",
     "residual_values",
     "theoretical_residual",
@@ -52,51 +50,23 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PathIntegralConfig:
-    """Horizon, step count, and the eigenpair the coordinate is built for."""
-
-    T: float
-    M: int
-    lam: float
-    w: np.ndarray
-
-    def __post_init__(self):
-        if not (self.T > 0):
-            raise ConfigurationError(f"horizon T must be positive, got {self.T}")
-        if self.M < 1:
-            raise ConfigurationError(f"steps M must be >= 1, got {self.M}")
-        if self.lam == 0:
-            raise ConfigurationError("rate lam must be nonzero")
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-
-    @property
-    def direction(self) -> int:
-        """Forward (+1) for positive rates, backward (-1) for negative."""
-        return 1 if self.lam > 0 else -1
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.M
-
-
-def mode_kernel_select(lin: LinearizationInfo, lam: float, T: float = 10.0,
-                       M: int = 2000) -> PathIntegralConfig:
-    """Pick the eigenpair matching ``lam`` and derive the integration direction."""
-    lam_exact, w = lin.eigenpair(lam, tol=1e-9)
-    return PathIntegralConfig(T=T, M=M, lam=lam_exact, w=w)
-
-
-@dataclass(frozen=True)
 class XiEvaluator:
-    """Bound system + linearization + path-integral plan, ready to evaluate.
+    """The coordinate for one rate of one system, ready to evaluate.
 
-    Calling it evaluates the coordinate, so ``RankOneKernel(ev)`` is the
-    rank-one kernel xi(x) xi(y) with central-difference gradients.
+    ``lam`` is matched strictly against the spectrum of ``lin`` and replaced
+    by the exact eigenvalue; ``w`` is its left eigenvector and ``plan`` the
+    RK4 plan of M steps over the horizon T.  Calling the evaluator
+    evaluates the coordinate, so ``RankOneKernel(ev)`` is the rank-one
+    kernel xi(x) xi(y) with central-difference gradients.
     """
 
     system: SystemDef
     lin: LinearizationInfo
-    config: PathIntegralConfig
+    lam: float
+    T: float
+    M: int
+    w: np.ndarray = field(init=False)
+    plan: IntegratorConfig = field(init=False)
 
     def __post_init__(self):
         if self.system.equilibrium is None:
@@ -104,42 +74,47 @@ class XiEvaluator:
                 f"system {self.system.name!r} has no equilibrium; "
                 "characteristic coordinates need one"
             )
+        lam, w = self.lin.eigenpair(self.lam, tol=1e-9)
+        if lam == 0:
+            raise ConfigurationError("rate lam must be nonzero")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "plan", IntegratorConfig.from_horizon(self.T, self.M))
+
+    @property
+    def direction(self) -> int:
+        """Forward (+1) for positive rates, backward (-1) for negative."""
+        return 1 if self.lam > 0 else -1
 
     def __call__(self, x):
         return xi_values(self, x)
 
 
-def make_evaluator(sys: SystemDef, lin: LinearizationInfo, lam: float,
-                   T: float, M: int) -> XiEvaluator:
-    return XiEvaluator(sys, lin, mode_kernel_select(lin, lam, T=T, M=M))
-
-
 def xi_values(ev: XiEvaluator, X) -> np.ndarray:
     """Evaluate the coordinate on a batch of states, shape (..., dim) -> (...);
     a single state (dim,) gives a float."""
-    cfg = ev.config
     X = np.asarray(X, dtype=float)
     squeeze = X.ndim == 1
     pts = X[None, :] if squeeze else X.reshape(-1, X.shape[-1])
     eq = ev.system.equilibrium
-    wE = cfg.w @ ev.lin.jacobian
-    decay = abs(cfg.lam)  # lam * d: the weight decays in either direction
+    w, dt = ev.w, ev.plan.dt
+    wE = w @ ev.lin.jacobian
+    decay = abs(ev.lam)  # lam * d: the weight decays in either direction
     q = np.zeros(pts.shape[0])
 
     def accumulate(k, ys, ks):
-        g = [kk @ cfg.w - (y - eq) @ wE for y, kk in zip(ys, ks)]
-        t = k * cfg.dt
-        e0, eh, e1 = np.exp(-decay * np.array([t, t + 0.5 * cfg.dt, t + cfg.dt]))
-        q[:] += (cfg.dt / 6.0) * (e0 * g[0] + 2.0 * eh * (g[1] + g[2]) + e1 * g[3])
+        g = [kk @ w - (y - eq) @ wE for y, kk in zip(ys, ks)]
+        t = k * dt
+        e0, eh, e1 = np.exp(-decay * np.array([t, t + 0.5 * dt, t + dt]))
+        q[:] += (dt / 6.0) * (e0 * g[0] + 2.0 * eh * (g[1] + g[2]) + e1 * g[3])
 
-    flow(ev.system, pts, IntegratorConfig(cfg.dt, cfg.M), direction=cfg.direction,
-         on_step=accumulate)
-    vals = (pts - eq) @ cfg.w + cfg.direction * q
+    flow(ev.system, pts, ev.plan, direction=ev.direction, on_step=accumulate)
+    vals = (pts - eq) @ w + ev.direction * q
     out = vals.reshape(X.shape[:-1])
     return float(out) if squeeze else out
 
 
-def residual_values(ev: XiEvaluator, X, fd_step: float = 1e-5):
+def residual_values(ev: XiEvaluator, X, fd_step: float = FD_STEP):
     """The coordinate and its transport defect f(x) . grad xi(x) - lam xi(x)
     on a batch of states (n, dim), both shaped (n,), from one flow of the
     states stacked with their 2 dim central-difference probes.
@@ -151,7 +126,7 @@ def residual_values(ev: XiEvaluator, X, fd_step: float = 1e-5):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     xi, grads = fd_value_and_grad(ev, X, fd_step)
     F = eval_field(ev.system, X)
-    return xi, np.sum(F * grads, axis=1) - ev.config.lam * xi
+    return xi, np.sum(F * grads, axis=1) - ev.lam * xi
 
 
 def theoretical_residual(ev: XiEvaluator, x) -> float:
@@ -162,9 +137,7 @@ def theoretical_residual(ev: XiEvaluator, x) -> float:
     residual of :func:`residual_values` converges to this as the step and
     quadrature errors vanish.  ``x`` is one state; returns a float.
     """
-    cfg = ev.config
-    d = cfg.direction
-    x = np.asarray(x, dtype=float)
-    end = flow(ev.system, x, IntegratorConfig(cfg.dt, cfg.M), direction=d)
+    d = ev.direction
+    end = flow(ev.system, np.asarray(x, dtype=float), ev.plan, direction=d)
     fnl = nonlinear_part(ev.system, ev.lin, end)
-    return float(np.exp(-cfg.lam * d * cfg.T) * (fnl @ cfg.w))
+    return float(np.exp(-ev.lam * d * ev.T) * (fnl @ ev.w))

@@ -36,7 +36,7 @@ from flowkernels.errors import FlowEscapeError
 from flowkernels.grids import tensor_grid
 from flowkernels.kernels import KernelMixture, PolynomialKernel, make_kernel
 from flowkernels.mkl import MKLConfig, mkl_solve, refit_pruned, sparsify
-from flowkernels.path_integral import make_evaluator, residual_values, xi_values
+from flowkernels.path_integral import XiEvaluator, residual_values, xi_values
 from flowkernels.spectral import (
     koopman_mode_check,
     mercer_decompose,
@@ -186,7 +186,7 @@ def test_criterion_8_path_integral_consistency(tmp_path, capsys):
     # xi_10 reaches ~1.7e14 there -- so the flow must report the escape, and
     # at T=1 the coordinate must match its closed form on the whole grid
     try:
-        xi_values(make_evaluator(POLY2D, POLY2D_LIN, -1.0, T=10.0, M=1000), GRID2)
+        xi_values(XiEvaluator(POLY2D, POLY2D_LIN, -1.0, T=10.0, M=1000), GRID2)
         ok_esc, det_esc = False, "T=10 did not escape"
     except FlowEscapeError as exc:
         ok_esc, det_esc = True, f"T=10 escapes at t={exc.escape_time:.2f}"
@@ -194,7 +194,7 @@ def test_criterion_8_path_integral_consistency(tmp_path, capsys):
     u, v = u_ref(GRID2), v_ref(GRID2)
     exact = u + u ** 4 * np.exp(3 * T) + 2 * v * u ** 2 * np.exp(-2 * T) + v ** 2 * np.exp(-7 * T)
     err_a = float(np.max(np.abs(
-        xi_values(make_evaluator(POLY2D, POLY2D_LIN, -1.0, T=T, M=1000), GRID2) - exact)))
+        xi_values(XiEvaluator(POLY2D, POLY2D_LIN, -1.0, T=T, M=1000), GRID2) - exact)))
     ok_a = ok_esc and err_a <= 1e-3
     det_a = f"{det_esc}; T=1 max err vs closed form={err_a:.2e} [<=1e-3]"
 
@@ -211,7 +211,7 @@ def test_criterion_8_path_integral_consistency(tmp_path, capsys):
     logs = []
     det_b = None
     for T in horizons:
-        ev_t = make_evaluator(POLY2D, POLY2D_LIN, -1.0, T=T, M=int(1000 * T))
+        ev_t = XiEvaluator(POLY2D, POLY2D_LIN, -1.0, T=T, M=int(1000 * T))
         try:
             logs.append(np.log(abs(residual_values(ev_t, [x])[1][0])))
         except FlowEscapeError as exc:
@@ -235,14 +235,13 @@ def test_criterion_8_path_integral_consistency(tmp_path, capsys):
     table = np.loadtxt(tmp_path / "duffing_char_xi.csv", delimiter=",", skiprows=1)
     X, res = table[:, :2], table[:, 3]
     duffing = make_system("duffing")
-    ev = make_evaluator(duffing, linearize(duffing), float(metrics["lam"]),
-                        float(metrics["T"]), int(metrics["M"]))
-    cfg = ev.config
-    end = flow(duffing, X, IntegratorConfig(cfg.dt, cfg.M), direction=cfg.direction)
+    ev = XiEvaluator(duffing, linearize(duffing), float(metrics["lam"]),
+                     float(metrics["T"]), int(metrics["M"]))
+    end = flow(duffing, X, ev.plan, direction=ev.direction)
     offset = end - duffing.equilibrium
-    scale = np.exp(-cfg.lam * cfg.direction * cfg.T)
-    term = scale * ((duffing.f(end) - offset @ ev.lin.jacobian.T) @ cfg.w)
-    exact_ratio = float(np.mean(np.abs(term)) / np.mean(np.abs(scale * (offset @ cfg.w))))
+    scale = np.exp(-ev.lam * ev.direction * ev.T)
+    term = scale * ((duffing.f(end) - offset @ ev.lin.jacobian.T) @ ev.w)
+    exact_ratio = float(np.mean(np.abs(term)) / np.mean(np.abs(scale * (offset @ ev.w))))
     rel_res = float(np.mean(np.abs(res - term)) / np.mean(np.abs(term)))
     ok_c = rel_res <= 1e-2 and abs(ratio - exact_ratio) <= 1e-2 * exact_ratio
     det_c = (f"duffing residual vs closed-form term: mean rel err={rel_res:.2e} [<=1e-2], "

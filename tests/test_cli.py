@@ -211,6 +211,24 @@ class TestExitCodes:
         assert main(["path-integral", "--config", path, "--out", str(tmp_path)]) == 4
         assert "category=flow-escape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [("T = 10", "T = 0"), ("M = 500", "M = 0")],
+                             ids=["T0", "M0"])
+    def test_path_integral_plan_is_2(self, old, new, tmp_path, capsys):
+        path = write_config(tmp_path, ESCAPE_INI.replace(old, new))
+        assert main(["path-integral", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "category=config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [("eta = 1e-8", "eta = -1e-3"),
+                                          ("mu_grad = 1e4", "mu_grad = -5")],
+                             ids=["eta", "mu_grad"])
+    @pytest.mark.parametrize("name", ["poly2d_kernel_study", "poly2d_mkl_l1"],
+                             ids=["solve", "mkl"])
+    def test_invalid_penalty_is_2(self, name, old, new, tmp_path, capsys):
+        cfg = preset(name)
+        path = write_config(tmp_path, cfg.to_string().replace(old, new))
+        assert main([cfg.command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert "category=config" in capsys.readouterr().err
+
     def test_validation_precedes_numerics(self, tmp_path):
         # an invalid grid in an otherwise runnable config must exit 2, not 3
         bad = ESCAPE_INI.replace("counts = 3, 3", "counts = 3")

@@ -1,5 +1,6 @@
 """Penalized collocation solver: assembly, solve, diagnostics, rescaling."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from flowkernels.dynamics import (
 from flowkernels.errors import ConfigurationError, NumericalError
 from flowkernels.grids import boundary_sets, tensor_grid
 from flowkernels.kernels import RankOneKernel, make_kernel
-from flowkernels.path_integral import make_evaluator, residual_values
+from flowkernels.path_integral import XiEvaluator, residual_values
 
 
 def cubic_grid():
@@ -267,6 +268,13 @@ class TestSolve:
             _solve_spd(A, rhs)
         assert len(factored) == 1
         assert np.array_equal(A, A_before)
+        # on a nonsingular indefinite matrix the printed estimate is the
+        # 2-norm condition number to the digits printed
+        B = A - 0.5 * np.eye(8)
+        with pytest.raises(NumericalError) as err:
+            _solve_spd(B, rhs)
+        printed = re.search(r"condition estimate (\S+)\)", str(err.value)).group(1)
+        assert printed == f"{np.linalg.cond(B):.3e}"
 
     def test_phi_is_the_expansion_on_the_points(self):
         prob = CollocationProblem.for_eigenvalue(
@@ -368,7 +376,7 @@ class TestResidualField:
         sys_d = make_system("duffing")
         lin = linearize(sys_d)
         lam = lin.eigenvalues[0]
-        ev = make_evaluator(sys_d, lin, lam, T=8.0, M=1600)
+        ev = XiEvaluator(sys_d, lin, lam, T=8.0, M=1600)
         kern = RankOneKernel(ev)
         grid = tensor_grid([(-2, 2), (-2, 2)], 9)
         prob = CollocationProblem.for_eigenvalue(sys_d, lam, kern, grid)
@@ -389,7 +397,7 @@ class TestResidualField:
         sys_d = make_system("duffing")
         lin = linearize(sys_d)
         lam = lin.eigenvalues[0]
-        ev = make_evaluator(sys_d, lin, lam, T=15.0, M=1500)
+        ev = XiEvaluator(sys_d, lin, lam, T=15.0, M=1500)
         grid = tensor_grid([(-2, 2), (-2, 2)], 25)
         prob = CollocationProblem.for_eigenvalue(sys_d, lam, RankOneKernel(ev), grid)
         sol = solve(prob)

@@ -37,22 +37,22 @@ def linear():
 def test_equilibrium_maps_to_zero(poly, duffing):
     for s, lin in (poly, duffing):
         for lam in lin.eigenvalues:
-            ev = pi.make_evaluator(s, lin, lam, T=3.0, M=600)
+            ev = pi.XiEvaluator(s, lin, lam, T=3.0, M=600)
             assert pi.xi_values(ev, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_linear_system_is_exact(linear):
     s, lin = linear
     x = np.array([0.3, 0.8])
-    ev1 = pi.make_evaluator(s, lin, 1.0, T=3.0, M=300)
+    ev1 = pi.XiEvaluator(s, lin, 1.0, T=3.0, M=300)
     assert pi.xi_values(ev1, x) == pytest.approx(0.3, abs=1e-13)
-    ev2 = pi.make_evaluator(s, lin, -2.0, T=3.0, M=300)
+    ev2 = pi.XiEvaluator(s, lin, -2.0, T=3.0, M=300)
     assert pi.xi_values(ev2, x) == pytest.approx(0.8, abs=1e-13)
 
 
 def test_poly2d_fast_mode_matches_closed_form(poly):
     s, lin = poly
-    ev = pi.make_evaluator(s, lin, 3.0, T=2.0, M=2000)
+    ev = pi.XiEvaluator(s, lin, 3.0, T=2.0, M=2000)
     x = np.array([0.4, 0.3])
     v = dyn.poly2d_reference_eigenfunctions()[3.0]
     assert pi.xi_values(ev, x) == pytest.approx(v(x), abs=1e-4)
@@ -70,10 +70,9 @@ def test_quadrature_agrees_with_rescaled_endpoint(poly, duffing):
             lam = lin.eigenvalues[0]
         errs = []
         for M in (500, 2000, 8000):
-            ev = pi.make_evaluator(s, lin, lam, T=2.0, M=M)
-            cfg = ev.config
-            end = dyn.flow(s, x, dyn.IntegratorConfig(cfg.dt, cfg.M), cfg.direction)
-            endpoint = np.exp(-cfg.lam * cfg.direction * cfg.T) * (end @ cfg.w)
+            ev = pi.XiEvaluator(s, lin, lam, T=2.0, M=M)
+            end = dyn.flow(s, x, ev.plan, ev.direction)
+            endpoint = np.exp(-ev.lam * ev.direction * ev.T) * (end @ ev.w)
             errs.append(abs(pi.xi_values(ev, x) - endpoint))
         err_coarse = errs[1]
         assert err_coarse <= 2e-5
@@ -87,7 +86,7 @@ def test_quadrature_agrees_with_rescaled_endpoint(poly, duffing):
 
 def test_batch_matches_pointwise(duffing):
     s, lin = duffing
-    ev = pi.make_evaluator(s, lin, lin.eigenvalues[0], T=3.0, M=600)
+    ev = pi.XiEvaluator(s, lin, lin.eigenvalues[0], T=3.0, M=600)
     rng = np.random.default_rng(2)
     X = rng.uniform(-1.5, 1.5, (8, 2))
     batch = pi.xi_values(ev, X)
@@ -97,7 +96,7 @@ def test_batch_matches_pointwise(duffing):
 
 def test_escaping_trajectory_raises(poly):
     s, lin = poly
-    ev = pi.make_evaluator(s, lin, -1.0, T=10.0, M=2000)
+    ev = pi.XiEvaluator(s, lin, -1.0, T=10.0, M=2000)
     with pytest.raises(FlowEscapeError) as err:
         pi.xi_values(ev, np.array([0.4, 0.3]))
     assert err.value.escape_time < 10.0
@@ -108,23 +107,31 @@ def test_escaping_trajectory_raises(poly):
 # ----------------------------------------------------------------------------
 
 def test_mode_selection_directions(duffing):
-    _, lin = duffing
-    up = pi.mode_kernel_select(lin, lin.eigenvalues[0])
+    s, lin = duffing
+    up = pi.XiEvaluator(s, lin, lin.eigenvalues[0], T=1.0, M=10)
     assert up.direction == 1
-    down = pi.mode_kernel_select(lin, lin.eigenvalues[1])
+    down = pi.XiEvaluator(s, lin, lin.eigenvalues[1], T=1.0, M=10)
     assert down.direction == -1
     np.testing.assert_allclose(up.w @ lin.jacobian, up.lam * up.w, atol=1e-12)
 
 
 def test_mode_selection_rejects_unknown_rate(duffing):
-    _, lin = duffing
+    s, lin = duffing
     with pytest.raises(UnknownEigenvalueError):
-        pi.mode_kernel_select(lin, 0.5)
+        pi.XiEvaluator(s, lin, 0.5, T=1.0, M=10)
     with pytest.raises(UnknownEigenvalueError):
         # matching is deliberately strict: five digits are not enough
-        pi.mode_kernel_select(lin, 0.78078)
+        pi.XiEvaluator(s, lin, 0.78078, T=1.0, M=10)
+    zero = dyn.make_system("linear_test(0.0, -2.0)")
+    with pytest.raises(ConfigurationError, match="nonzero"):
+        pi.XiEvaluator(zero, dyn.linearize(zero), 0.0, T=1.0, M=10)
+
+
+@pytest.mark.parametrize("T, M", [(0.0, 10), (-1.0, 10), (1.0, 0), (1.0, -3)])
+def test_horizon_and_steps_validated(duffing, T, M):
+    s, lin = duffing
     with pytest.raises(ConfigurationError):
-        pi.PathIntegralConfig(T=1.0, M=10, lam=0.0, w=np.ones(2))
+        pi.XiEvaluator(s, lin, lin.eigenvalues[0], T=T, M=M)
 
 
 # ----------------------------------------------------------------------------
@@ -133,14 +140,14 @@ def test_mode_selection_rejects_unknown_rate(duffing):
 
 def test_residual_zero_for_linear_system(linear):
     s, lin = linear
-    ev = pi.make_evaluator(s, lin, -2.0, T=3.0, M=600)
+    ev = pi.XiEvaluator(s, lin, -2.0, T=3.0, M=600)
     r = pi.residual_values(ev, [np.array([0.4, -0.7])], fd_step=1e-5)[1][0]
     assert abs(r) <= 1e-8
 
 
 def test_residual_values_matches_pointwise(duffing):
     s, lin = duffing
-    ev = pi.make_evaluator(s, lin, lin.eigenvalues[0], T=4.0, M=800)
+    ev = pi.XiEvaluator(s, lin, lin.eigenvalues[0], T=4.0, M=800)
     rng = np.random.default_rng(11)
     X = rng.uniform(-1.2, 1.2, size=(7, 2))
     batch = pi.residual_values(ev, X)[1]
@@ -153,7 +160,7 @@ def test_residual_values_equals_separate_evaluations(duffing):
     # xi_values calls give: xi(X), and the residual built one dimension at
     # a time from xi(X + h e_j) and xi(X - h e_j)
     s, lin = duffing
-    ev = pi.make_evaluator(s, lin, lin.eigenvalues[0], T=4.0, M=800)
+    ev = pi.XiEvaluator(s, lin, lin.eigenvalues[0], T=4.0, M=800)
     X = np.random.default_rng(12).uniform(-1.2, 1.2, size=(37, 2))
     h = 1e-5
     xi, res = pi.residual_values(ev, X, fd_step=h)
@@ -163,13 +170,13 @@ def test_residual_values_equals_separate_evaluations(duffing):
         e = np.zeros(2)
         e[j] = h
         grads[:, j] = (pi.xi_values(ev, X + e) - pi.xi_values(ev, X - e)) / (2.0 * h)
-    want = np.sum(dyn.eval_field(s, X) * grads, axis=1) - ev.config.lam * pi.xi_values(ev, X)
+    want = np.sum(dyn.eval_field(s, X) * grads, axis=1) - ev.lam * pi.xi_values(ev, X)
     assert np.array_equal(res, want)
 
 
 def test_residual_matches_theory(duffing):
     s, lin = duffing
-    ev = pi.make_evaluator(s, lin, lin.eigenvalues[0], T=8.0, M=3200)
+    ev = pi.XiEvaluator(s, lin, lin.eigenvalues[0], T=8.0, M=3200)
     rng = np.random.default_rng(5)
     for _ in range(4):
         x = rng.uniform(-1.2, 1.2, 2)
@@ -182,7 +189,7 @@ def test_residual_suppressed_at_long_horizon(duffing):
     s, lin = duffing
     lam = lin.eigenvalues[0]
     T = 40.0  # lam * T > 30
-    ev = pi.make_evaluator(s, lin, lam, T=T, M=8000)
+    ev = pi.XiEvaluator(s, lin, lam, T=T, M=8000)
     x = np.array([0.9, 0.2])
     r = pi.residual_values(ev, [x], fd_step=1e-4)[1][0]
     assert abs(r) <= 1e-6 * (1.0 + abs(pi.xi_values(ev, x)))
@@ -197,7 +204,7 @@ def test_residual_decays_at_dominant_rate(duffing):
     Ts = np.array([2.0, 4.0, 6.0, 8.0])
     vals = []
     for T in Ts:
-        ev = pi.make_evaluator(s, lin, lam, T=T, M=int(T * 500))
+        ev = pi.XiEvaluator(s, lin, lam, T=T, M=int(T * 500))
         vals.append(abs(pi.theoretical_residual(ev, x)))
     slope = np.polyfit(Ts, np.log(vals), 1)[0]
     assert slope == pytest.approx(-lam, rel=0.2)
@@ -214,8 +221,8 @@ def test_horizon_convergence_slope(duffing):
     Ts = [3.0, 5.0, 7.0, 9.0]
     defect = []
     for T in Ts:
-        ev1 = pi.make_evaluator(s, lin, lam, T=T, M=int(T * 400))
-        ev2 = pi.make_evaluator(s, lin, lam, T=2 * T, M=int(2 * T * 400))
+        ev1 = pi.XiEvaluator(s, lin, lam, T=T, M=int(T * 400))
+        ev2 = pi.XiEvaluator(s, lin, lam, T=2 * T, M=int(2 * T * 400))
         defect.append(np.mean(np.abs(pi.xi_values(ev2, probes) - pi.xi_values(ev1, probes))))
     slope = np.polyfit(Ts, np.log(defect), 1)[0]
     assert slope <= -0.8 * lam
@@ -228,8 +235,8 @@ def test_horizon_convergence_poly2d_fast_mode(poly):
     Ts = [0.3, 0.6, 0.9, 1.2]
     defect = []
     for T in Ts:
-        ev1 = pi.make_evaluator(s, lin, 3.0, T=T, M=int(T * 4000))
-        ev2 = pi.make_evaluator(s, lin, 3.0, T=2 * T, M=int(2 * T * 4000))
+        ev1 = pi.XiEvaluator(s, lin, 3.0, T=T, M=int(T * 4000))
+        ev2 = pi.XiEvaluator(s, lin, 3.0, T=2 * T, M=int(2 * T * 4000))
         defect.append(abs(pi.xi_values(ev2, x) - pi.xi_values(ev1, x)))
     slope = np.polyfit(Ts, np.log(defect), 1)[0]
     assert slope <= -0.8 * 3.0
@@ -241,7 +248,7 @@ def test_linear_consistency_gradient_at_equilibrium(poly, duffing):
     for (s, lin), lam, T in [(poly, 3.0, 4.0), (duffing, None, 8.0)]:
         if lam is None:
             lam = lin.eigenvalues[0]
-        ev = pi.make_evaluator(s, lin, lam, T=T, M=int(400 * T))
+        ev = pi.XiEvaluator(s, lin, lam, T=T, M=int(400 * T))
         _, w = lin.eigenpair(lam)
         g = fd_value_and_grad(ev, np.zeros(2), 1e-5)[1]
         assert np.max(np.abs(g - w)) <= 1e-4
@@ -251,7 +258,7 @@ def test_transport_identity_along_flow(duffing):
     # xi(s_t(x)) tracks e^{lam t} xi(x) for modest t
     s, lin = duffing
     lam = lin.eigenvalues[0]
-    ev = pi.make_evaluator(s, lin, lam, T=10.0, M=4000)
+    ev = pi.XiEvaluator(s, lin, lam, T=10.0, M=4000)
     cfg = dyn.IntegratorConfig(1e-3, 1)
     rng = np.random.default_rng(9)
     for _ in range(4):
@@ -270,7 +277,7 @@ def test_transport_identity_along_flow(duffing):
 
 def test_rank_one_kernel_properties(duffing):
     s, lin = duffing
-    ev = pi.make_evaluator(s, lin, lin.eigenvalues[0], T=4.0, M=800)
+    ev = pi.XiEvaluator(s, lin, lin.eigenvalues[0], T=4.0, M=800)
     k = RankOneKernel(ev)
     rng = np.random.default_rng(10)
     X = rng.uniform(-1.5, 1.5, (100, 2))
