@@ -110,8 +110,8 @@ class IntegratorConfig:
 
     @classmethod
     def from_horizon(cls, T: float, M: int) -> "IntegratorConfig":
-        if not (T > 0):
-            raise ConfigurationError(f"horizon T must be positive, got {T}")
+        if not (0 < T < np.inf):
+            raise ConfigurationError(f"horizon T must be finite and positive, got {T}")
         if M < 1:
             raise ConfigurationError(f"M must be >= 1, got {M}")
         return cls(dt=T / M, M=M)

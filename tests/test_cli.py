@@ -211,8 +211,9 @@ class TestExitCodes:
         assert main(["path-integral", "--config", path, "--out", str(tmp_path)]) == 4
         assert "category=flow-escape" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("old, new", [("T = 10", "T = 0"), ("M = 500", "M = 0")],
-                             ids=["T0", "M0"])
+    @pytest.mark.parametrize("old, new", [("T = 10", "T = 0"), ("T = 10", "T = inf"),
+                                          ("M = 500", "M = 0")],
+                             ids=["T0", "Tinf", "M0"])
     def test_path_integral_plan_is_2(self, old, new, tmp_path, capsys):
         path = write_config(tmp_path, ESCAPE_INI.replace(old, new))
         assert main(["path-integral", "--config", path, "--out", str(tmp_path)]) == 2

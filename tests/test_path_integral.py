@@ -127,7 +127,7 @@ def test_mode_selection_rejects_unknown_rate(duffing):
         pi.XiEvaluator(zero, dyn.linearize(zero), 0.0, T=1.0, M=10)
 
 
-@pytest.mark.parametrize("T, M", [(0.0, 10), (-1.0, 10), (1.0, 0), (1.0, -3)])
+@pytest.mark.parametrize("T, M", [(0.0, 10), (-1.0, 10), (np.inf, 10), (1.0, 0), (1.0, -3)])
 def test_horizon_and_steps_validated(duffing, T, M):
     s, lin = duffing
     with pytest.raises(ConfigurationError):
