@@ -20,9 +20,9 @@ for label, b in zip(result.kernel_labels, result.beta):
 print(f"rescaled rmse = {result.rmse_rescaled:.3e}, "
       f"converged = {result.converged}")
 
-# every weight sits just below the 0.1 threshold, so pruning wipes the
-# model out -- the library reports that instead of failing
-pruned = sparsify(result, tau=0.1)
+# every weight sits just below the config's 0.1 threshold, so pruning wipes
+# the model out -- the library reports that instead of failing
+pruned = sparsify(result)
 print(f"\nafter tau=0.1 threshold: {pruned.pruned_beta.size} kernels survive")
 
 # a hand-set trio of polynomial kernels refits essentially exactly,

@@ -3,16 +3,16 @@
 For the operator c d/dx + lam on an interval, both the causal Green's
 function and the Laplace-transform (resolvent) kernel have closed forms
 along the straight characteristics x + c t.  Symmetrizing either one
-against a weight yields a positive kernel, and for unit speed and weight
-both symmetrizations collapse (up to one positive scalar) onto the
-exponential kernel e^{-lam |x-y|} / (2 lam).  This module computes all
-three and reports how far apart they land numerically.
+(integrating the product of two copies over the domain) yields a positive
+kernel, and for unit speed both symmetrizations collapse (up to one
+positive scalar) onto the exponential kernel e^{-lam |x-y|} / (2 lam).
+This module computes all three and reports how far apart they land
+numerically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class AdvectionProblem:
     lam: float = 1.0
     a: float = -30.0
     b: float = 30.0
-    weight: Optional[Callable[[np.ndarray], np.ndarray]] = None  # default w == 1
 
     def __post_init__(self):
         if self.c == 0:
@@ -48,11 +47,6 @@ class AdvectionProblem:
             raise ConfigurationError(f"decay rate lam must be positive, got {self.lam}")
         if not (self.a < self.b):
             raise ConfigurationError(f"domain needs a < b, got [{self.a}, {self.b}]")
-
-    def w(self, xi):
-        if self.weight is None:
-            return np.ones_like(np.asarray(xi, dtype=float))
-        return np.asarray(self.weight(xi), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -127,14 +121,14 @@ def resolvent_kernel_advection(p: AdvectionProblem, x, y, alpha: float):
 
 def analytic_exponential_kernel(p: AdvectionProblem, x, y):
     """Closed form e^{-lam |x-y|} / (2 lam) the symmetrizations converge to
-    (unit speed, unit weight, domain long enough)."""
+    (unit speed, domain long enough)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.exp(-p.lam * np.abs(x - y)) / (2.0 * p.lam)
 
 
 def symmetrized_kernel(p: AdvectionProblem, x: float, y: float, q: QuadratureRule) -> float:
-    """K(x,y) = integral of G(x, xi) G(y, xi) w(xi) over the domain.
+    """K(x,y) = integral of G(x, xi) G(y, xi) over the domain.
 
     The integrand lives on xi <= min(x, y); integrating exactly over that
     support (instead of sweeping dead nodes across the causality kink)
@@ -144,24 +138,19 @@ def symmetrized_kernel(p: AdvectionProblem, x: float, y: float, q: QuadratureRul
     nodes, wts = q.nodes_weights(max(p.a, q.a), min(hi, p.b, q.b))
     if nodes.size == 0:
         return 0.0
-    vals = green_advection(p, x, nodes) * green_advection(p, y, nodes) * p.w(nodes)
+    vals = green_advection(p, x, nodes) * green_advection(p, y, nodes)
     return float(vals @ wts)
 
 
-def symmetrized_resolvent(
-    p: AdvectionProblem, x: float, y: float, q: QuadratureRule, alpha: float | None = None
-) -> float:
-    """Same symmetrization applied to the resolvent kernel (support xi >= max)."""
-    alpha = p.lam if alpha is None else alpha
+def symmetrized_resolvent(p: AdvectionProblem, x: float, y: float, q: QuadratureRule) -> float:
+    """Same symmetrization applied to the resolvent kernel at rate lam
+    (support xi >= max(x, y))."""
     lo = max(x, y)
     nodes, wts = q.nodes_weights(max(lo, p.a, q.a), min(p.b, q.b))
     if nodes.size == 0:
         return 0.0
-    vals = (
-        resolvent_kernel_advection(p, x, nodes, alpha)
-        * resolvent_kernel_advection(p, y, nodes, alpha)
-        * p.w(nodes)
-    )
+    vals = (resolvent_kernel_advection(p, x, nodes, p.lam)
+            * resolvent_kernel_advection(p, y, nodes, p.lam))
     return float(vals @ wts)
 
 

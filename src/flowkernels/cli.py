@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .advection import AdvectionProblem, QuadratureRule, unification_check
 from .collocation import CollocationProblem, PenaltyConfig, solve
-from .config import COMMANDS, ExperimentConfig, preset, preset_names
+from .config import COMMANDS, SCHEMA_VERSION, ExperimentConfig, preset, preset_names
 from .dynamics import builtin_system_names, linearize, make_system
 from .errors import ConfigurationError, FlowEscapeError, NumericalError
 from .grids import boundary_sets, tensor_grid
@@ -155,9 +155,8 @@ def _base_metrics(cfg: ExperimentConfig) -> Dict[str, object]:
     return {
         "experiment": cfg.name,
         "command": cfg.command,
-        "schema_version": cfg.get("experiment", "schema_version", "1"),
+        "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
-        "seed": cfg.seed,
     }
 
 
@@ -217,7 +216,6 @@ def _run_mkl(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     mcfg = MKLConfig(
         eta=cfg.get_float("penalties", "eta", 1e-8),
         mu_grad=cfg.get_float("penalties", "mu_grad", 1e4),
-        lam_l1=cfg.get_float("mkl", "lam_l1", 0.0),
         tau=cfg.get_float("mkl", "tau", 0.1),
         max_iter=cfg.get_int("mkl", "max_iter", 200),
         gtol=cfg.get_float("mkl", "gtol", 1e-6),
@@ -245,8 +243,7 @@ def _run_mkl(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
         converged=result.converged, n_iterations=result.loss_trace.size - 1,
         loss_initial=float(result.loss_trace[0]),
         loss_final=float(result.loss_trace[-1]),
-        lam_l1=mcfg.lam_l1, tau=mcfg.tau,
-        l1_mode="pre_normalization_magnitudes",
+        tau=mcfg.tau,
         n_surviving=int(np.count_nonzero(pruned)),
         pruned_empty=pruned_empty,
     )
@@ -391,7 +388,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a config file")
         p.add_argument("--preset", help=f"built-in preset: {', '.join(preset_names())}")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_parser("list-systems", help="print the built-in system names")
     return parser
 
@@ -409,10 +405,7 @@ def _dispatch(args) -> int:
         for name in builtin_system_names():
             print(name)
         return 0
-    cfg = _load_config(args)
-    if args.seed is not None:
-        cfg = cfg.with_overrides(seed=args.seed)
-    cfg = cfg.validate()
+    cfg = _load_config(args).validate()
     if cfg.command != args.command:
         raise ConfigurationError(
             f"config is for command {cfg.command!r} but {args.command!r} was invoked"

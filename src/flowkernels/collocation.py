@@ -16,7 +16,7 @@ and the copy that the Cholesky factorization makes of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,7 +76,7 @@ class CollocationProblem:
     kernel: Kernel
     points: np.ndarray
     anchor_target: np.ndarray
-    anchor_point: Optional[np.ndarray] = None
+    anchor_point: np.ndarray = field(init=False)    # the system's equilibrium
     penalties: PenaltyConfig = PenaltyConfig()
 
     def __post_init__(self):
@@ -88,15 +88,9 @@ class CollocationProblem:
         if w.shape != (self.system.dim,) or not np.any(w):
             raise ConfigurationError("anchor target must be a nonzero dim-vector")
         object.__setattr__(self, "anchor_target", w)
-        if self.anchor_point is None:
-            if self.system.equilibrium is None:
-                raise ConfigurationError("no equilibrium available; pass anchor_point")
-            object.__setattr__(self, "anchor_point", np.asarray(self.system.equilibrium, dtype=float))
-        else:
-            xa = np.asarray(self.anchor_point, dtype=float).ravel()
-            if xa.shape != (self.system.dim,):
-                raise ConfigurationError("anchor point has wrong dimension")
-            object.__setattr__(self, "anchor_point", xa)
+        if self.system.equilibrium is None:
+            raise ConfigurationError("no equilibrium to anchor the gradient at")
+        object.__setattr__(self, "anchor_point", np.asarray(self.system.equilibrium, dtype=float))
 
     @classmethod
     def for_eigenvalue(cls, system, lam, kernel, points, penalties=PenaltyConfig()):
@@ -181,13 +175,16 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), rhs)
     except scipy.linalg.LinAlgError as exc:
-        # the 2-norm condition number of a symmetric matrix, without an SVD
+        # the 2-norm condition number of a symmetric matrix, without an SVD,
+        # and the numerical rank at numpy's matrix_rank cutoff n eps max|lam|
         mags = np.abs(np.linalg.eigvalsh(A))
         with np.errstate(divide="ignore"):
             cond = mags.max() / mags.min()
+        n = A.shape[0]
+        rank = int(np.count_nonzero(mags > n * np.finfo(float).eps * mags.max()))
         raise NumericalError(
-            f"normal equations not positive definite ({exc}; condition estimate "
-            f"{cond:.3e}); a larger eta keeps them definite"
+            f"normal equations not positive definite ({exc}; rank {rank} of {n}, "
+            f"condition estimate {cond:.3e}); a larger eta keeps them definite"
         ) from exc
 
 

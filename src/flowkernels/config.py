@@ -87,10 +87,6 @@ class ExperimentConfig:
     def command(self) -> str:
         return self.require("experiment", "command")
 
-    @property
-    def seed(self) -> int:
-        return self.get_int("experiment", "seed", 0)
-
     def grid_spec(self) -> Tuple[List[Tuple[float, float]], List[int]]:
         bounds_raw = self.require("grid", "bounds")
         counts_raw = self.require("grid", "counts")
@@ -125,7 +121,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown command {cmd!r}; expected one of {', '.join(COMMANDS)}"
             )
-        self.seed
 
         if cmd == "unify":
             for key in ("c", "lam"):
@@ -198,21 +193,12 @@ class ExperimentConfig:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_string())
 
-    def with_overrides(self, **experiment_keys) -> "ExperimentConfig":
-        sections = {s: dict(kv) for s, kv in self.sections.items()}
-        sections.setdefault("experiment", {})
-        for k, v in experiment_keys.items():
-            if v is not None:
-                sections["experiment"][k] = str(v)
-        return ExperimentConfig(sections=sections)
-
 
 def _base(name: str, command: str) -> Dict[str, Dict[str, str]]:
     return {
         "experiment": {
             "name": name,
             "command": command,
-            "seed": "0",
             "schema_version": SCHEMA_VERSION,
         }
     }
@@ -238,7 +224,7 @@ def _poly2d_mkl(name: str, eig_index: int) -> ExperimentConfig:
     s["kernel"] = {"bank": "default11"}
     s["grid"] = {"bounds": "-1:1, -1:1", "counts": "21, 21"}
     s["penalties"] = {"eta": "1e-8", "mu_grad": "1e4"}
-    s["mkl"] = {"lam_l1": "0", "tau": "0.1", "max_iter": "200", "gtol": "1e-6"}
+    s["mkl"] = {"tau": "0.1", "max_iter": "200", "gtol": "1e-6"}
     return ExperimentConfig(sections=s)
 
 

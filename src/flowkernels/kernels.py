@@ -7,9 +7,9 @@ D_ij = F_i . grad_x k(X_i, Y_j) all come from it.  ``directional_pairwise``
 allocates its two (N, M) results once and fills them a block of rows at a
 time, one slab per dimension within each block, so the assembly path
 builds neither an (N, M, d) array nor any other (N, M) temporary.
-Families flagged ``psd_guaranteed = False`` (sigmoid, and triangular
-outside 1-D) are admitted everywhere but skipped by positive-semidefiniteness
-checks.
+Each family carries two descriptive flags, ``psd_guaranteed`` (False for
+sigmoid, and for triangular outside 1-D) and ``smooth``; no code in the
+package branches on them, and every family is admitted everywhere.
 """
 
 from __future__ import annotations

@@ -5,10 +5,9 @@ jointly with the expansion coefficients alpha: for each beta the alpha
 subproblem is the same strictly convex quadratic as in the collocation
 module and is solved exactly, so the outer optimizer sees a smooth
 reduced objective of beta alone.  beta is parameterized through a
-softmax, which keeps every iterate strictly inside the simplex; an
-optional L1 term acts on the pre-normalization magnitudes (on the
-simplex itself the L1 norm is constantly 1, so sparsity is ultimately
-enforced by hard thresholding, as the pruning step documents).
+softmax, which keeps every iterate strictly inside the simplex.  On the
+simplex the L1 norm is constantly 1, so sparsity comes from hard
+thresholding, as the pruning step documents.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ class MKLConfig:
     base_kernels: Sequence[Kernel] = field(default_factory=default_kernel_bank)
     eta: float = 1e-8
     mu_grad: float = 1e4
-    lam_l1: float = 0.0
     tau: float = 0.1
     max_iter: int = 200
     gtol: float = 1e-6
@@ -87,8 +85,6 @@ class MKLConfig:
             raise ConfigurationError("need at least 2 base kernels")
         if not (0.0 <= self.tau < 1.0):
             raise ConfigurationError(f"threshold tau must be in [0, 1), got {self.tau}")
-        if self.lam_l1 < 0:
-            raise ConfigurationError("lam_l1 must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -147,13 +143,11 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
         r = B @ alpha
         a_gap = G0 @ alpha - w
         f = (r @ r) / n + cfg.eta * (alpha @ alpha) + cfg.mu_grad * (a_gap @ a_gap)
-        f += cfg.lam_l1 * v.sum()
         # envelope gradient: alpha is optimal, so only the explicit beta
         # dependence contributes
         g = (2.0 / n) * np.einsum("lij,j,i->l", Bs, alpha, r)
         g += 2.0 * cfg.mu_grad * np.einsum("ldj,j,d->l", G0s, alpha, a_gap)
-        grad_theta = beta * (g - beta @ g) + cfg.lam_l1 * v
-        return f, grad_theta, alpha
+        return f, beta * (g - beta @ g), alpha
 
     # the initial trace entry, the optimizer's first call, the callback at
     # each accepted iterate and the final alpha usually ask for the same
@@ -202,14 +196,14 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
     )
 
 
-def sparsify(result: MKLResult, tau: Optional[float] = None) -> MKLResult:
-    """Zero out weights below the threshold and renormalize survivors.
+def sparsify(result: MKLResult) -> MKLResult:
+    """Zero out weights below the config's threshold tau and renormalize
+    survivors.
 
     If everything is pruned the pruned model is identically zero; that is
     reported through an empty pruned_beta, not raised.
     """
-    tau = result.config.tau if tau is None else tau
-    beta = np.where(result.beta < tau, 0.0, result.beta)
+    beta = np.where(result.beta < result.config.tau, 0.0, result.beta)
     total = beta.sum()
     if total == 0.0:
         return replace(result, pruned_beta=np.empty(0))

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XiEvaluator:
     """The coordinate for one rate of one system, ready to evaluate.
 
@@ -57,7 +57,8 @@ class XiEvaluator:
     by the exact eigenvalue; ``w`` is its left eigenvector and ``plan`` the
     RK4 plan of M steps over the horizon T.  Calling the evaluator
     evaluates the coordinate, so ``RankOneKernel(ev)`` is the rank-one
-    kernel xi(x) xi(y) with central-difference gradients.
+    kernel xi(x) xi(y) with central-difference gradients.  Evaluators
+    compare and hash by identity.
     """
 
     system: SystemDef

@@ -132,13 +132,6 @@ class TestConfigRoundTrip:
         archived = ExperimentConfig.from_file(tmp_path / "unify_advection_config.ini")
         assert archived == preset("unify_advection")
 
-    def test_seed_override_lands_in_metrics(self, tmp_path):
-        rc = main(["unify", "--preset", "unify_advection", "--seed", "7",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        m = read_metrics(tmp_path / "unify_advection_metrics.txt")
-        assert m["seed"] == "7"
-
 
 # -- exit codes ---------------------------------------------------------------
 
@@ -158,6 +151,11 @@ class TestExitCodes:
 
     def test_neither_config_nor_preset(self):
         assert main(["solve"]) == 2
+
+    def test_removed_seed_flag_is_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["unify", "--preset", "unify_advection", "--seed", "7", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_missing_config_file(self):
         assert main(["solve", "--config", "/no/such/file.ini"]) == 2
@@ -204,6 +202,7 @@ class TestExitCodes:
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "category=numerical" in err and "condition estimate" in err
+        assert "rank 3 of 441" in err
         assert not (tmp_path / "no_ridge_solution.csv").exists()
 
     def test_flow_escape_is_4(self, tmp_path, capsys):

@@ -77,6 +77,14 @@ class TestProblemValidation:
         assert prob.lam == lam
         np.testing.assert_allclose(prob.anchor_target, w, atol=1e-14)
 
+    def test_system_without_equilibrium_rejected(self):
+        with pytest.raises(ConfigurationError, match="equilibrium"):
+            CollocationProblem(
+                system=make_system("advection1d"), lam=1.0,
+                kernel=make_kernel("gaussian", gamma=1.0),
+                points=[[0.1]], anchor_target=[1.0],
+            )
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             CollocationProblem(

@@ -50,8 +50,6 @@ class TestConfig:
             MKLConfig(base_kernels=[GaussianKernel(gamma=1.0)])
         with pytest.raises(ConfigurationError):
             MKLConfig(tau=1.0)
-        with pytest.raises(ConfigurationError):
-            MKLConfig(lam_l1=-0.5)
 
     def test_result_rejects_weights_off_simplex(self):
         with pytest.raises(NumericalError):
@@ -99,11 +97,15 @@ class TestSolve:
 
     def test_envelope_gradient_matches_finite_differences(self):
         # the reported gradient of the reduced objective must agree with
-        # central differences; the inner solve is exact so the envelope is too
+        # central differences; the envelope formula needs an exact inner
+        # solve, so the ridge keeps the normal matrix well conditioned (cond
+        # 1.2e10; at the default eta = 1e-8 it is 1.2e14, and both the float64
+        # gradient and the differences of the float64 objective are off by
+        # 1e-3 relative or more)
         from flowkernels.dynamics import linearize
 
         grid = tensor_grid([(-1, 1), (-1, 1)], 9)
-        cfg = small_cfg(lam_l1=0.3)
+        cfg = small_cfg(eta=1e-4)
         lam, w = linearize(SYS).eigenpair(-1.0)
         theta = np.array([0.2, -0.1, 0.05])
         _, g = _objective_pair(SYS, lam, w, grid, cfg, theta)
@@ -139,13 +141,6 @@ class TestSolve:
         mixture = KernelMixture(list(cfg.base_kernels), res.beta)
         assert np.array_equal(res.phi, mixture.pairwise(GRID) @ res.alpha)
 
-    def test_l1_never_grows_total_weight(self):
-        totals = []
-        for lam_l1 in (0.0, 0.1, 1.0, 10.0):
-            res = mkl_solve(SYS, 3.0, GRID, MKLConfig(lam_l1=lam_l1, max_iter=60))
-            totals.append(float(np.abs(res.beta).sum()))
-        assert all(b <= a + 1e-9 for a, b in zip(totals, totals[1:]))
-
 
 def _objective_pair(system, lam, w, X, cfg, theta):
     """Standalone replica of the solver's reduced objective for grad checks."""
@@ -162,10 +157,10 @@ def _objective_pair(system, lam, w, X, cfg, theta):
     alpha = _solve_spd(A, cfg.mu_grad * G0.T @ w)
     r = B @ alpha
     gap = G0 @ alpha - w
-    f = (r @ r) / n + cfg.eta * (alpha @ alpha) + cfg.mu_grad * (gap @ gap) + cfg.lam_l1 * v.sum()
+    f = (r @ r) / n + cfg.eta * (alpha @ alpha) + cfg.mu_grad * (gap @ gap)
     g = (2.0 / n) * np.einsum("lij,j,i->l", Bs, alpha, r)
     g += 2.0 * cfg.mu_grad * np.einsum("ldj,j,d->l", G0s, alpha, gap)
-    return f, beta * (g - beta @ g) + cfg.lam_l1 * v
+    return f, beta * (g - beta @ g)
 
 
 class TestSparsify:

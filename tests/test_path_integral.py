@@ -127,6 +127,15 @@ def test_mode_selection_rejects_unknown_rate(duffing):
         pi.XiEvaluator(zero, dyn.linearize(zero), 0.0, T=1.0, M=10)
 
 
+def test_evaluators_compare_by_identity(duffing):
+    s, lin = duffing
+    ev = pi.XiEvaluator(s, lin, lin.eigenvalues[0], T=1.0, M=10)
+    twin = pi.XiEvaluator(s, lin, lin.eigenvalues[0], T=1.0, M=10)
+    assert ev == ev
+    assert ev != twin
+    assert {ev: 1}[ev] == 1
+
+
 @pytest.mark.parametrize("T, M", [(0.0, 10), (-1.0, 10), (np.inf, 10), (1.0, 0), (1.0, -3)])
 def test_horizon_and_steps_validated(duffing, T, M):
     s, lin = duffing
