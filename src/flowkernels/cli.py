@@ -176,18 +176,30 @@ def _write_solution(path, X: np.ndarray, result, ref) -> None:
     write_csv(path, headers, columns)
 
 
+def _archive(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
+    """Create the output directory and archive the config in it.  Runners
+    call this after reading every setting they use and before any numerics,
+    so a config error writes nothing."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory {outdir}: {exc}") from exc
+    cfg.write(outdir / f"{cfg.name}_config.ini")
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners
 
 
 def _run_solve(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
-    system = make_system(cfg.require("system", "name"))
+    system = make_system(cfg.get("system", "name"))
     lam = _resolve_lam(cfg, linearize(system))
     X = _grid_points(cfg)
     prob = CollocationProblem.for_eigenvalue(
         system, lam, _kernel_from_spec(cfg.kernel_spec()), X,
         penalties=_penalties(cfg, X),
     )
+    _archive(cfg, outdir)
     ref = _reference_for(system.name, prob.lam)
     sol = solve(prob, reference=ref)
     _write_solution(outdir / f"{cfg.name}_solution.csv", X, sol, ref)
@@ -210,7 +222,10 @@ def _run_solve(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
 
 
 def _run_mkl(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
-    system = make_system(cfg.require("system", "name"))
+    bank = cfg.get("kernel", "bank", "default11")
+    if bank != "default11":
+        raise ConfigurationError(f"unknown kernel bank {bank!r}")
+    system = make_system(cfg.get("system", "name"))
     lam = _resolve_lam(cfg, linearize(system))
     X = _grid_points(cfg)
     mcfg = MKLConfig(
@@ -220,6 +235,7 @@ def _run_mkl(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
         max_iter=cfg.get_int("mkl", "max_iter", 200),
         gtol=cfg.get_float("mkl", "gtol", 1e-6),
     )
+    _archive(cfg, outdir)
     ref = _reference_for(system.name, lam)
     result = sparsify(mkl_solve(system, lam, X, mcfg, reference=ref))
 
@@ -261,13 +277,14 @@ def _run_mkl(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
 
 
 def _run_path_integral(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
-    system = make_system(cfg.require("system", "name"))
+    system = make_system(cfg.get("system", "name"))
     lin = linearize(system)
     lam = _resolve_lam(cfg, lin)
     T = cfg.get_float("path_integral", "T")
     M = cfg.get_int("path_integral", "M")
     ev = XiEvaluator(system, lin, lam, T, M)
     X = _grid_points(cfg)
+    _archive(cfg, outdir)
 
     xi, res = residual_values(ev, X)
     write_csv(
@@ -293,10 +310,11 @@ def _run_path_integral(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
 def _run_mercer(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     X = _grid_points(cfg)
     kernel = _kernel_from_spec(cfg.kernel_spec())
+    k = cfg.get_int("mercer", "k", min(6, len(X)))
+    if not (1 <= k <= len(X)):
+        raise ConfigurationError(f"[mercer] k={k} not in 1..{len(X)}")
+    _archive(cfg, outdir)
     dec = mercer_decompose(kernel, grid=X)
-    k = cfg.get_int("mercer", "k", min(6, dec.eigenvalues.size))
-    if not (1 <= k <= dec.eigenvalues.size):
-        raise ConfigurationError(f"[mercer] k={k} not in 1..{dec.eigenvalues.size}")
 
     write_csv(
         outdir / f"{cfg.name}_spectrum.csv",
@@ -346,6 +364,7 @@ def _run_unify(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
         cfg.get_float("unify", "grid_hi", 5.0),
         n,
     )
+    _archive(cfg, outdir)
     report = unification_check(problem, grid, rule)
 
     write_csv(
@@ -405,18 +424,14 @@ def _dispatch(args) -> int:
         for name in builtin_system_names():
             print(name)
         return 0
-    cfg = _load_config(args).validate()
+    cfg = _load_config(args)
+    if not cfg.name:
+        raise ConfigurationError("experiment name must be nonempty")
     if cfg.command != args.command:
         raise ConfigurationError(
             f"config is for command {cfg.command!r} but {args.command!r} was invoked"
         )
-    outdir = pathlib.Path(args.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {outdir}: {exc}") from exc
-    cfg.write(outdir / f"{cfg.name}_config.ini")
-    _RUNNERS[args.command](cfg, outdir)
+    _RUNNERS[args.command](cfg, pathlib.Path(args.out))
     return 0
 
 

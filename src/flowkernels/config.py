@@ -2,8 +2,8 @@
 
 A config is a two-level mapping section -> key -> string.  Keeping the
 canonical representation textual makes the write/parse round trip exact
-by construction; typed accessors parse values on demand and validation
-happens before any numerical code runs.
+by construction.  Typed accessors parse values on demand; a missing key
+without a default, or a value that does not parse, is a config error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigurationError
-from .kernels import kernel_family_names
 
 __all__ = ["ExperimentConfig", "preset", "preset_names", "COMMANDS"]
 
@@ -26,6 +25,16 @@ _SECTION_ORDER = (
 )
 
 SCHEMA_VERSION = "1"
+
+_BOOLS = {"on": True, "true": True, "yes": True, "1": True,
+          "off": False, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(v: str) -> bool:
+    try:
+        return _BOOLS[v.strip().lower()]
+    except KeyError:
+        raise ValueError(v) from None
 
 
 @dataclass(frozen=True, eq=True)
@@ -39,64 +48,52 @@ class ExperimentConfig:
             return False
         return key is None or key in self.sections[section]
 
-    def get(self, section: str, key: str, default=None) -> Optional[str]:
-        return self.sections.get(section, {}).get(key, default)
-
-    def require(self, section: str, key: str) -> str:
-        v = self.get(section, key)
+    def get(self, section: str, key: str, default: Optional[str] = None) -> str:
+        """The raw value; a missing key without a default is a config error."""
+        v = self.sections.get(section, {}).get(key, default)
         if v is None:
             raise ConfigurationError(f"missing config key [{section}] {key}")
         return v
 
-    def get_float(self, section: str, key: str, default=None) -> Optional[float]:
-        v = self.get(section, key)
-        if v is None:
+    def _parsed(self, section: str, key: str, default, parse, what: str):
+        if default is not None and not self.has(section, key):
             return default
+        v = self.get(section, key)
         try:
-            return float(v)
+            return parse(v)
         except ValueError as exc:
-            raise ConfigurationError(f"[{section}] {key} is not a number: {v!r}") from exc
+            raise ConfigurationError(f"[{section}] {key} is not {what}: {v!r}") from exc
 
-    def get_int(self, section: str, key: str, default=None) -> Optional[int]:
-        v = self.get(section, key)
-        if v is None:
-            return default
-        try:
-            return int(v)
-        except ValueError as exc:
-            raise ConfigurationError(f"[{section}] {key} is not an integer: {v!r}") from exc
+    def get_float(self, section: str, key: str, default: Optional[float] = None) -> float:
+        return self._parsed(section, key, default, float, "a number")
 
-    def get_bool(self, section: str, key: str, default=False) -> bool:
-        v = self.get(section, key)
-        if v is None:
-            return default
-        low = v.strip().lower()
-        if low in ("on", "true", "yes", "1"):
-            return True
-        if low in ("off", "false", "no", "0"):
-            return False
-        raise ConfigurationError(f"[{section}] {key} is not a boolean: {v!r}")
+    def get_int(self, section: str, key: str, default: Optional[int] = None) -> int:
+        return self._parsed(section, key, default, int, "an integer")
+
+    def get_bool(self, section: str, key: str, default: Optional[bool] = None) -> bool:
+        return self._parsed(section, key, default, _parse_bool, "a boolean")
 
     # -- derived values ------------------------------------------------------
 
     @property
     def name(self) -> str:
-        return self.require("experiment", "name")
+        return self.get("experiment", "name")
 
     @property
     def command(self) -> str:
-        return self.require("experiment", "command")
+        return self.get("experiment", "command")
 
     def grid_spec(self) -> Tuple[List[Tuple[float, float]], List[int]]:
-        bounds_raw = self.require("grid", "bounds")
-        counts_raw = self.require("grid", "counts")
         bounds = []
-        for part in bounds_raw.split(","):
-            lo, sep, hi = part.strip().partition(":")
-            if not sep:
-                raise ConfigurationError(f"grid bounds need lo:hi pairs, got {part!r}")
-            bounds.append((float(lo), float(hi)))
-        counts = [int(c.strip()) for c in counts_raw.split(",")]
+        try:
+            for part in self.get("grid", "bounds").split(","):
+                lo, sep, hi = part.strip().partition(":")
+                if not sep:
+                    raise ConfigurationError(f"grid bounds need lo:hi pairs, got {part!r}")
+                bounds.append((float(lo), float(hi)))
+            counts = [int(c) for c in self.get("grid", "counts").split(",")]
+        except ValueError as exc:
+            raise ConfigurationError(f"[grid] bounds or counts not numeric: {exc}") from exc
         if len(counts) != len(bounds):
             raise ConfigurationError("grid bounds and counts disagree on dimension")
         if any(c < 2 for c in counts):
@@ -107,55 +104,6 @@ class ExperimentConfig:
         if not self.has("kernel"):
             raise ConfigurationError("missing [kernel] section")
         return dict(self.sections["kernel"])
-
-    # -- validation ----------------------------------------------------------
-
-    def validate(self) -> "ExperimentConfig":
-        from .dynamics import builtin_system_names, make_system
-
-        name = self.name
-        if not name:
-            raise ConfigurationError("experiment name must be nonempty")
-        cmd = self.command
-        if cmd not in COMMANDS:
-            raise ConfigurationError(
-                f"unknown command {cmd!r}; expected one of {', '.join(COMMANDS)}"
-            )
-
-        if cmd == "unify":
-            for key in ("c", "lam"):
-                self.get_float("unify", key)
-            return self
-
-        sysname = self.require("system", "name")
-        try:
-            make_system(sysname)
-        except ConfigurationError as exc:
-            raise ConfigurationError(
-                f"unknown system {sysname!r} (built-ins: {', '.join(builtin_system_names())}): {exc}"
-            ) from exc
-
-        self.grid_spec()
-
-        if cmd in ("solve", "mercer"):
-            fam = self.kernel_spec().get("family")
-            if fam is None:
-                raise ConfigurationError("missing [kernel] family")
-            if fam not in kernel_family_names():
-                raise ConfigurationError(f"unknown kernel family {fam!r}")
-        if cmd == "mkl":
-            bank = self.get("kernel", "bank", "default11")
-            if bank != "default11":
-                raise ConfigurationError(f"unknown kernel bank {bank!r}")
-        if cmd in ("solve", "mkl", "path-integral"):
-            if not (self.has("eigenvalue", "index") or self.has("eigenvalue", "value")):
-                raise ConfigurationError("need [eigenvalue] index or value")
-        if cmd == "path-integral":
-            T = self.get_float("path_integral", "T")
-            M = self.get_int("path_integral", "M")
-            if T is None or M is None:
-                raise ConfigurationError("need [path_integral] T and M")
-        return self
 
     # -- serialization ---------------------------------------------------
 
@@ -274,4 +222,4 @@ def preset(name: str) -> ExperimentConfig:
         raise ConfigurationError(
             f"unknown preset {name!r}; available: {', '.join(table)}"
         )
-    return table[name].validate()
+    return table[name]

@@ -243,9 +243,9 @@ def builtin_system_names() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def make_system(name: str, **overrides) -> SystemDef:
+def make_system(name: str) -> SystemDef:
     """Build a system from a registry name like ``"duffing"`` or
-    ``"advection1d(2.0)"``; keyword overrides win over parenthesized args."""
+    ``"advection1d(2.0)"``, whose parenthesized args go to the builder."""
     m = _NAME_RE.match(name)
     if not m:
         raise ConfigurationError(f"cannot parse system name {name!r}")
@@ -261,7 +261,7 @@ def make_system(name: str, **overrides) -> SystemDef:
         except ValueError as exc:
             raise ConfigurationError(f"bad system arguments in {name!r}: {exc}") from exc
     try:
-        return _BUILDERS[base](*args, **overrides)
+        return _BUILDERS[base](*args)
     except TypeError as exc:
         raise ConfigurationError(f"bad arguments for system {base!r}: {exc}") from exc
 

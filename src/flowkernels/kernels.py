@@ -430,7 +430,11 @@ def _singular_1d() -> RankOneKernel:
     """
 
     def p(x):
-        v = x[..., 0] if x.ndim and x.shape[-1] == 1 else x
+        if x.shape[-1:] != (1,):
+            raise ConfigurationError(
+                f"singular_1d kernel takes 1-D points, got shape {x.shape}"
+            )
+        v = x[..., 0]
         if np.any(np.abs(v) >= 1.0):
             raise ConfigurationError("singular_1d kernel is defined on |x| < 1 only")
         return v / np.sqrt(1.0 - v * v)

@@ -40,7 +40,6 @@ class MercerDecomposition:
 
     eigenvalues: np.ndarray
     modes: np.ndarray
-    grid: np.ndarray
     weights: np.ndarray
     indefinite: bool = False
 
@@ -52,8 +51,9 @@ class MercerDecomposition:
 def mercer_decompose(kernel, grid=None, weights=None) -> MercerDecomposition:
     """Weighted discrete Mercer decomposition.
 
-    kernel may be a Kernel (evaluated pairwise on grid) or a precomputed
-    symmetric Gram matrix.  Weights default to uniform 1/N.  Small
+    kernel may be a Kernel, evaluated pairwise on grid (an (N, d) array,
+    or N one-dimensional points), or a precomputed symmetric Gram matrix,
+    which needs no grid.  Weights default to uniform 1/N.  Small
     negative eigenvalues (within 1e-8 of the top one, relatively) are
     clipped to zero; anything more negative marks the decomposition
     indefinite and raises a warning, since genuinely indefinite kernels
@@ -62,16 +62,11 @@ def mercer_decompose(kernel, grid=None, weights=None) -> MercerDecomposition:
     if isinstance(kernel, Kernel):
         if grid is None:
             raise ConfigurationError("grid required when a kernel object is passed")
-        G = np.atleast_2d(np.asarray(grid, dtype=float))
-        if G.ndim == 1:
-            G = G[:, None]
-        K = kernel.pairwise(G, G)
+        K = kernel.pairwise(grid)
     else:
         K = np.asarray(kernel, dtype=float)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ConfigurationError("precomputed Gram matrix must be square")
-        G = np.arange(K.shape[0], dtype=float)[:, None] if grid is None else \
-            np.atleast_2d(np.asarray(grid, dtype=float))
     n = K.shape[0]
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float).ravel()
     if w.shape != (n,) or np.any(w <= 0):
@@ -97,8 +92,7 @@ def mercer_decompose(kernel, grid=None, weights=None) -> MercerDecomposition:
             )
         mu = np.where((mu < 0) & (mu >= -1e-8 * top), 0.0, mu)
     modes = V / sw[:, None]
-    return MercerDecomposition(eigenvalues=mu, modes=modes, grid=G, weights=w,
-                               indefinite=indefinite)
+    return MercerDecomposition(eigenvalues=mu, modes=modes, weights=w, indefinite=indefinite)
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,7 @@ def _orthonormalize_weighted(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.array(out) if out else np.empty((0, len(w)))
 
 
-def koopman_mode_check(eigenfunction_values, weights=None, grid=None) -> ModeCheckReport:
+def koopman_mode_check(eigenfunction_values, weights=None) -> ModeCheckReport:
     """Finite-rank spectrum test.
 
     Orthonormalizes the supplied eigenfunction values under the weighted
@@ -146,7 +140,7 @@ def koopman_mode_check(eigenfunction_values, weights=None, grid=None) -> ModeChe
 
     if m == 0:
         K = np.zeros((len(w), len(w)))
-        dec = mercer_decompose(K, grid=grid, weights=w)
+        dec = mercer_decompose(K, weights=w)
         return ModeCheckReport(
             m=0, eigenvalues=dec.eigenvalues,
             spectrum_deviation=float(np.max(np.abs(dec.eigenvalues))),
@@ -155,7 +149,7 @@ def koopman_mode_check(eigenfunction_values, weights=None, grid=None) -> ModeChe
 
     phi = _orthonormalize_weighted(vals, w)
     K = phi.T @ phi
-    dec = mercer_decompose(K, grid=grid, weights=w)
+    dec = mercer_decompose(K, weights=w)
     mu = dec.eigenvalues
     dev = max(float(np.max(np.abs(mu[:m] - 1.0))), float(np.max(np.abs(mu[m:]))) if m < len(mu) else 0.0)
 

@@ -3,10 +3,12 @@
 import csv
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from flowkernels import kernels
 from flowkernels.cli import main
 from flowkernels.config import ExperimentConfig, preset, preset_names
 
@@ -164,10 +166,12 @@ class TestExitCodes:
         path = write_config(tmp_path, "this is not an ini file [")
         assert main(["solve", "--config", path]) == 2
 
-    def test_unknown_system(self, tmp_path):
-        bad = MERCER_INI.replace("name = poly2d", "name = lorenz96")
+    def test_unknown_system(self, tmp_path, capsys):
+        bad = NO_RIDGE_INI.replace("name = poly2d", "name = lorenz96")
         path = write_config(tmp_path, bad)
-        assert main(["mercer", "--config", path, "--out", str(tmp_path)]) == 2
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "unknown system 'lorenz96'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_grid_count_below_two(self, tmp_path):
         bad = MERCER_INI.replace("counts = 9, 9", "counts = 1, 9")
@@ -234,6 +238,58 @@ class TestExitCodes:
         bad = ESCAPE_INI.replace("counts = 3, 3", "counts = 3")
         path = write_config(tmp_path, bad)
         assert main(["path-integral", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+def _edit(text, old, new):
+    assert old in text, old
+    return text.replace(old, new)
+
+
+# config text, command, expected exit code; a config error must leave --out
+# uncreated, and a run that succeeds must archive its config
+_CONFIG_CASES = {
+    "bounds_not_numeric": (_edit(MERCER_INI, "-1:1, -1:1", "-1:one, -1:1"), "mercer", 2),
+    "counts_not_integer": (_edit(MERCER_INI, "counts = 9, 9", "counts = 9, 9.5"), "mercer", 2),
+    "no_eigenvalue_section": (_edit(NO_RIDGE_INI, "[eigenvalue]\nindex = 1\n", ""), "solve", 2),
+    "no_horizon": (_edit(ESCAPE_INI, "T = 10\n", ""), "path-integral", 2),
+    "unknown_bank": (_edit(preset("poly2d_mkl_l1").to_string(), "bank = default11",
+                           "bank = other"), "mkl", 2),
+    "mercer_k_above_points": (_edit(MERCER_INI, "k = 3", "k = 500"), "mercer", 2),
+    "alias_rbf": (_edit(MERCER_INI, "family = gaussian", "family = rbf"), "mercer", 0),
+    "alias_laplacian": (_edit(MERCER_INI, "family = gaussian", "family = laplacian"),
+                        "mercer", 0),
+    "capitalized_family": (_edit(MERCER_INI, "family = gaussian", "family = Gaussian"),
+                           "mercer", 0),
+    "mercer_without_system": (_edit(MERCER_INI, "[system]\nname = poly2d\n", ""), "mercer", 0),
+}
+
+
+@pytest.mark.parametrize("text, command, code", list(_CONFIG_CASES.values()),
+                         ids=list(_CONFIG_CASES))
+def test_config_cases(text, command, code, tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", path, "--out", str(out)]) == code
+    if code == 2:
+        assert "category=config" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        name = ExperimentConfig.from_string(text).name
+        assert (out / f"{name}_config.ini").exists()
+
+
+@pytest.mark.parametrize("family", sorted(kernels._FAMILIES))
+def test_every_registered_kernel_name_runs_on_the_cli(family, tmp_path):
+    # the CLI accepts exactly the names make_kernel accepts, aliases included
+    gamma = "gamma = 1\n" if kernels._FAMILIES[family] is kernels.GaussianKernel else ""
+    text = (f"[experiment]\nname = registry\ncommand = mercer\n\n"
+            f"[system]\nname = cubic1d\n\n"
+            f"[kernel]\nfamily = {family}\n{gamma}\n"
+            f"[grid]\nbounds = -0.9:0.9\ncounts = 15\n")
+    path = write_config(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # indefinite sigmoid Gram
+        assert main(["mercer", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 # -- every preset runs --------------------------------------------------------

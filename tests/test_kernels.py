@@ -52,6 +52,8 @@ def test_singular_kernel_values_and_domain():
     assert g[0] == pytest.approx(0.5773502691896258, abs=1e-15)
     with pytest.raises(ConfigurationError):
         k.eval(np.array([1.0]), np.array([0.5]))
+    with pytest.raises(ConfigurationError, match="1-D points"):
+        k.pairwise(np.zeros((3, 2)))
 
 
 def test_gaussian_lengthscale_conversion():

@@ -42,6 +42,13 @@ class TestMercerDecompose:
         gram = dec.modes.T @ (dec.weights[:, None] * dec.modes)
         assert np.abs(gram - np.eye(len(g))).max() <= 1e-8
 
+    def test_one_dimensional_grid_is_n_points(self):
+        g = np.linspace(-1, 1, 50)
+        kern = make_kernel("gaussian", gamma=1.0)
+        mu = mercer_decompose(kern, grid=g).eigenvalues
+        assert mu.size == 50
+        np.testing.assert_array_equal(mu, mercer_decompose(kern, grid=g[:, None]).eigenvalues)
+
     def test_eigenvalues_descending_and_clipped(self):
         g = np.linspace(-1, 1, 25)[:, None]
         dec = mercer_decompose(make_kernel("gaussian", gamma=2.0), g)
