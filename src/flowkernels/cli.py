@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .advection import AdvectionProblem, QuadratureRule, unification_check
-from .collocation import CollocationProblem, PenaltyConfig, solve
+from .collocation import CollocationProblem, PenaltyConfig, _locate_domain_violation, solve
 from .config import COMMANDS, SCHEMA_VERSION, ExperimentConfig, preset, preset_names
 from .dynamics import builtin_system_names, linearize, make_system
 from .errors import ConfigurationError, FlowEscapeError, NumericalError
@@ -199,6 +199,7 @@ def _run_solve(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
         system, lam, _kernel_from_spec(cfg.kernel_spec()), X,
         penalties=_penalties(cfg, X),
     )
+    _locate_domain_violation(prob.kernel, X)
     _archive(cfg, outdir)
     ref = _reference_for(system.name, prob.lam)
     sol = solve(prob, reference=ref)
@@ -313,6 +314,7 @@ def _run_mercer(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     k = cfg.get_int("mercer", "k", min(6, len(X)))
     if not (1 <= k <= len(X)):
         raise ConfigurationError(f"[mercer] k={k} not in 1..{len(X)}")
+    _locate_domain_violation(kernel, X)
     _archive(cfg, outdir)
     dec = mercer_decompose(kernel, grid=X)
 

@@ -8,10 +8,10 @@ the zero function is excluded), and optional boundary penalties.  The
 objective is a strictly convex quadratic, so the solve is one symmetric
 positive-definite factorization.
 
-Kernel matrices are filled a block of rows at a time by the kernels'
-``directional_pairwise``, and the normal matrix is accumulated in place, so
-a solve holds about four (N, N) arrays at its peak: K, B, the normal matrix
-and the copy that the Cholesky factorization makes of it.
+Kernel matrices are filled a block of rows at a time, and the normal matrix
+is built by scipy's BLAS in the Fortran order that LAPACK factors in place,
+so a solve holds three (N, N) arrays at its peak: K, B and the normal
+matrix, which becomes its own Cholesky factor.
 """
 
 from __future__ import annotations
@@ -113,11 +113,16 @@ class AssembledSystem:
 
 
 def _locate_domain_violation(kernel, points):
-    for i, x in enumerate(np.atleast_2d(points)):
-        try:
-            kernel.eval(x, x)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"kernel invalid at point index {i}, x={x}: {exc}") from exc
+    """Name the first of the (N, dim) points where the kernel's diagonal fails."""
+    try:
+        kernel.eval(points, points)
+    except ConfigurationError:
+        for i, x in enumerate(points):
+            try:
+                kernel.eval(x, x)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"kernel invalid at point index {i}, x={x}: {exc}") from exc
+        raise
 
 
 def kernel_blocks(kernel: Kernel, F: np.ndarray, lam: float, X: np.ndarray,
@@ -169,18 +174,20 @@ class Solution:
             raise NumericalError("solution diagnostics contain non-finite values")
 
 
-def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One Cholesky solve of A, which is left untouched.  A matrix that is not
-    numerically positive definite is an error, not something to perturb."""
+def _solve_spd(normal: Callable[[], np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """One in-place Cholesky solve of the lower triangle that normal() builds.
+    A matrix that is not numerically positive definite is an error, not
+    something to perturb; normal() rebuilds the consumed matrix to report it."""
     try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=True), rhs)
+        c = scipy.linalg.cho_factor(normal(), lower=True, overwrite_a=True, check_finite=False)
+        return scipy.linalg.cho_solve(c, rhs, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         # the 2-norm condition number of a symmetric matrix, without an SVD,
         # and the numerical rank at numpy's matrix_rank cutoff n eps max|lam|
-        mags = np.abs(np.linalg.eigvalsh(A))
+        mags = np.abs(np.linalg.eigvalsh(normal()))
         with np.errstate(divide="ignore"):
             cond = mags.max() / mags.min()
-        n = A.shape[0]
+        n = mags.size
         rank = int(np.count_nonzero(mags > n * np.finfo(float).eps * mags.max()))
         raise NumericalError(
             f"normal equations not positive definite ({exc}; rank {rank} of {n}, "
@@ -190,13 +197,18 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _normal_equations(B: np.ndarray, eta: float, terms) -> np.ndarray:
     """B.T B / n + eta I + sum of mu M.T M over the (mu, M) pairs in terms,
-    accumulated in place in that order; pairs with an empty M are skipped."""
-    A = B.T @ B
+    accumulated in place in that order (pairs with an empty M skipped) in the
+    lower triangle of a Fortran-ordered array, which LAPACK factors as is."""
+    A = scipy.linalg.blas.dsyrk(1.0, B.T, trans=0, lower=1)
     A /= B.shape[0]
     A.flat[:: A.shape[0] + 1] += eta
     for mu, M in terms:
         if M.size:
-            A += (mu * M.T) @ M
+            # 32 columns: no (N, N) temporary, and products too small to wake numpy's
+            # BLAS threads before scipy's POTRF (256: +0.25 s per N=3721 solve, 2 cores)
+            P = mu * M.T
+            for j in range(0, A.shape[1], 32):
+                A[:, j:j + 32] += P @ M[:, j:j + 32]
     return A
 
 
@@ -229,7 +241,8 @@ def solve(problem: CollocationProblem, reference: Optional[Callable] = None) -> 
         raise NumericalError("assembled matrices contain non-finite entries")
     n = asm.B.shape[0]
     w = problem.anchor_target
-    alpha = _solve_spd(normal_matrix(problem, asm), problem.penalties.mu_grad * asm.G0.T @ w)
+    alpha = _solve_spd(lambda: normal_matrix(problem, asm),
+                       problem.penalties.mu_grad * asm.G0.T @ w)
     phi = asm.K @ alpha
     deriv = asm.G0 @ alpha
     c_star, rmse_rescaled, rmse_raw = _reference_fit(phi, problem.points, reference)

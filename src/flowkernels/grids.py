@@ -22,8 +22,8 @@ def tensor_grid(bounds, counts) -> np.ndarray:
         raise ConfigurationError("bounds must be (dim, 2) and counts per-axis")
     if np.any(counts < 2):
         raise ConfigurationError("grid needs at least 2 points per axis")
-    if np.any(bounds[:, 0] >= bounds[:, 1]):
-        raise ConfigurationError("each axis needs lo < hi")
+    if not (np.all(np.isfinite(bounds)) and np.all(bounds[:, 0] < bounds[:, 1])):
+        raise ConfigurationError(f"each axis needs finite lo < hi, got {bounds.tolist()}")
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)

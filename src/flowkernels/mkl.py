@@ -138,7 +138,7 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
         beta = v / v.sum()
         B = np.tensordot(beta, Bs, axes=1)
         G0 = np.tensordot(beta, G0s, axes=1)
-        alpha = _solve_spd(_normal_equations(B, cfg.eta, [(cfg.mu_grad, G0)]),
+        alpha = _solve_spd(lambda: _normal_equations(B, cfg.eta, [(cfg.mu_grad, G0)]),
                            cfg.mu_grad * G0.T @ w)
         r = B @ alpha
         a_gap = G0 @ alpha - w

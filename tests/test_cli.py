@@ -261,6 +261,14 @@ _CONFIG_CASES = {
     "capitalized_family": (_edit(MERCER_INI, "family = gaussian", "family = Gaussian"),
                            "mercer", 0),
     "mercer_without_system": (_edit(MERCER_INI, "[system]\nname = poly2d\n", ""), "mercer", 0),
+    "bounds_nan": (_edit(MERCER_INI, "-1:1, -1:1", "-1:nan, -1:1"), "mercer", 2),
+    "bounds_inf": (_edit(MERCER_INI, "-1:1, -1:1", "-1:1, -inf:1"), "mercer", 2),
+    # singular_1d takes 1-D points only, and only inside (-1, 1)
+    "solve_kernel_invalid_on_grid": (_edit(NO_RIDGE_INI, "family = polynomial\ndegree = 1\n"
+                                           "coef0 = 0.5", "family = singular_1d"), "solve", 2),
+    "mercer_kernel_invalid_on_grid": (
+        _edit(_edit(_edit(MERCER_INI, "family = gaussian\ngamma = 1", "family = singular_1d"),
+                    "-1:1, -1:1", "-1:1"), "counts = 9, 9", "counts = 9"), "mercer", 2),
 }
 
 

@@ -199,6 +199,24 @@ class TestSolve:
         A = normal_matrix(prob, assemble(prob))
         assert np.linalg.eigvalsh(A).min() > 0
 
+    def test_normal_matrix_lower_triangle_is_the_plain_sum(self):
+        # the in-place build reproduces, bit for bit, the lower triangle of
+        # the normal matrix summed term by term in the same order
+        pts = cubic_grid()
+        prob = CollocationProblem.for_eigenvalue(
+            make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3), pts,
+            boundary_penalties(pts),
+        )
+        asm = assemble(prob)
+        pen = prob.penalties
+        assert asm.T.size and asm.Y.size
+        n = len(pts)
+        plain = asm.B.T @ asm.B / n + pen.eta * np.eye(n)
+        plain += (pen.mu_grad * asm.G0.T) @ asm.G0
+        plain += (pen.mu_trace * asm.T.T) @ asm.T
+        plain += (pen.mu_layer * asm.Y.T) @ asm.Y
+        assert np.array_equal(np.tril(normal_matrix(prob, asm)), np.tril(plain))
+
     def test_anchor_target_scale_covariance(self):
         grid = tensor_grid([(-1, 1), (-1, 1)], 7)
         base = CollocationProblem.for_eigenvalue(
@@ -241,9 +259,9 @@ class TestSolve:
         )
         assert np.array_equal(solve(prob).alpha, solve(prob).alpha)
 
-    def test_solve_peaks_at_about_four_matrices(self):
-        # K and B of the assembly, the normal matrix and the copy the
-        # Cholesky factorization takes of it
+    def test_solve_peaks_at_about_three_matrices(self):
+        # K and B of the assembly and the normal matrix, which the Cholesky
+        # factorization overwrites in place
         prob = CollocationProblem.for_eigenvalue(
             make_system("poly2d"), -1.0, make_kernel("exponential", gamma=1.0),
             tensor_grid([(-1, 1), (-1, 1)], 41),
@@ -255,7 +273,7 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * n * n * 8
+        assert peak <= 3.5 * n * n * 8
 
     def test_indefinite_normal_matrix_fails_without_retry(self, monkeypatch):
         # the all-ones block has an exactly zero second pivot, so one
@@ -273,14 +291,14 @@ class TestSolve:
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", counting_cho_factor)
         with pytest.raises(NumericalError, match="condition estimate"):
-            _solve_spd(A, rhs)
+            _solve_spd(lambda: A, rhs)
         assert len(factored) == 1
         assert np.array_equal(A, A_before)
         # on a nonsingular indefinite matrix the printed estimate is the
         # 2-norm condition number to the digits printed
         B = A - 0.5 * np.eye(8)
         with pytest.raises(NumericalError) as err:
-            _solve_spd(B, rhs)
+            _solve_spd(lambda: B, rhs)
         printed = re.search(r"condition estimate (\S+)\)", str(err.value)).group(1)
         assert printed == f"{np.linalg.cond(B):.3e}"
 

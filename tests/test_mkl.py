@@ -154,7 +154,7 @@ def _objective_pair(system, lam, w, X, cfg, theta):
     B = np.tensordot(beta, Bs, axes=1)
     G0 = np.tensordot(beta, G0s, axes=1)
     A = B.T @ B / n + cfg.eta * np.eye(n) + cfg.mu_grad * G0.T @ G0
-    alpha = _solve_spd(A, cfg.mu_grad * G0.T @ w)
+    alpha = _solve_spd(lambda: A, cfg.mu_grad * G0.T @ w)
     r = B @ alpha
     gap = G0 @ alpha - w
     f = (r @ r) / n + cfg.eta * (alpha @ alpha) + cfg.mu_grad * (gap @ gap)
