@@ -210,6 +210,7 @@ def _run_solve(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
         system=system.name, lam=prob.lam,
         kernel=cfg.kernel_spec().get("family"),
         n_points=X.shape[0],
+        n_centers=sol.n_centers,
         residual_norm=sol.residual_norm,
         anchor_error=sol.anchor_error,
     )

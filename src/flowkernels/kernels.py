@@ -115,6 +115,11 @@ class Kernel:
         X, Y = _pair(X, Y)
         return self.grad_x(X[:, None, :], Y[None, :, :])
 
+    def gram_columns(self, X):
+        """The diagonal k(X[i], X[i]) and a function of i giving k(X, X[i])."""
+        X = _as2d(X)
+        return self.eval(X, X), lambda i: self.pairwise(X, X[i:i + 1])[:, 0]
+
     def directional_pairwise(self, X, F, Y=None):
         """K_ij = k(X[i], Y[j]) and D_ij = F[i] . grad_x k(X[i], Y[j]).
 
@@ -360,6 +365,10 @@ class RankOneKernel(Kernel):
     def grad_x_pairwise(self, X, Y=None):
         X, Y = _pair(X, Y)
         return np.asarray(self.xi(Y))[None, :, None] * self._xi_and_grad(X)[1][:, None, :]
+
+    def gram_columns(self, X):
+        v = np.asarray(self.xi(_as2d(X)))   # xi once for the diagonal and every column
+        return v * v, lambda i: v * v[i]
 
     def _directional_block(self, X, F, Y):
         # xi and its gradient once for all blocks; xi(X) serves Y when Y is X

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, artifact schemas, determinism, config round trip."""
 
 import csv
+import re
 import subprocess
 import sys
 import warnings
@@ -200,13 +201,18 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
     def test_singular_normal_matrix_is_3(self, tmp_path, capsys):
-        # without the ridge a degree-1 kernel leaves the normal matrix of rank
-        # 3 on 441 points; one factorization fails and nothing is perturbed
-        path = write_config(tmp_path, NO_RIDGE_INI)
+        # a unit gaussian on 441 points needs more than 441 // 16 greedy
+        # centers, so phi stays expanded on all points; without the ridge
+        # the normal matrix is numerically singular, one factorization fails
+        # and nothing is perturbed
+        gaussian = _edit(NO_RIDGE_INI, "family = polynomial\ndegree = 1\ncoef0 = 0.5",
+                         "family = gaussian\ngamma = 1")
+        path = write_config(tmp_path, gaussian)
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "category=numerical" in err and "condition estimate" in err
-        assert "rank 3 of 441" in err
+        rank = re.search(r"rank (\d+) of 441", err)
+        assert rank and int(rank.group(1)) < 441
         assert not (tmp_path / "no_ridge_solution.csv").exists()
 
     def test_flow_escape_is_4(self, tmp_path, capsys):
@@ -327,6 +333,15 @@ class TestPresets:
         m = read_metrics(tmp_path / "cubic1d_singular_metrics.txt")
         assert float(m["rmse_rescaled"]) <= 5e-4
         assert float(m["residual_norm"]) < 1e-10
+
+    @pytest.mark.parametrize("name, n_centers", [("cubic1d_singular", 1), ("cubic1d_rbf", 199)])
+    def test_solve_metrics_report_the_basis_size(self, name, n_centers, tmp_path):
+        # the rank-one kernel is expanded on one greedy center; the gaussian
+        # needs more than 199 // 16 of them and keeps every grid point
+        assert main(["solve", "--preset", name, "--out", str(tmp_path)]) == 0
+        m = read_metrics(tmp_path / f"{name}_metrics.txt")
+        assert int(m["n_centers"]) == n_centers
+        assert int(m["n_points"]) == 199
 
     def test_path_integral_preset_flows_once(self, tmp_path, monkeypatch):
         # xi and the transport residual come from one stacked flow of the

@@ -311,6 +311,59 @@ class TestSolve:
         assert np.array_equal(sol.phi, evaluate(sol, prob.points))
 
 
+class TestGreedyCenters:
+    def poly2d_problem(self, kernel, side, eta=1e-8):
+        return CollocationProblem.for_eigenvalue(
+            make_system("poly2d"), -1.0, kernel, tensor_grid([(-1, 1), (-1, 1)], side),
+            PenaltyConfig(eta=eta),
+        )
+
+    def test_quadratic_kernel_is_expanded_on_six_centers(self):
+        prob = self.poly2d_problem(make_kernel("polynomial", degree=2, coef0=0.5), 21)
+        sol = solve(prob)
+        assert sol.n_centers == 6
+        assert np.count_nonzero(sol.alpha) == 6
+        phi = evaluate(sol, prob.points)
+        assert np.abs(phi - sol.phi).max() <= 1e-10 * np.abs(sol.phi).max()
+
+    def test_non_compressing_kernel_keeps_the_full_basis_bit_for_bit(self):
+        prob = self.poly2d_problem(make_kernel("exponential", gamma=1.0), 21)
+        sol = solve(prob)
+        asm = assemble(prob)
+        alpha = _solve_spd(lambda: normal_matrix(prob, asm),
+                           prob.penalties.mu_grad * asm.G0.T @ prob.anchor_target)
+        assert sol.n_centers == 441
+        assert np.array_equal(sol.alpha, alpha)
+
+    def test_gaussian_error_follows_the_ridge(self):
+        # on centers the ridge is eta times the RKHS norm of phi, so the
+        # error falls with eta down to eta = 0 instead of the solve failing
+        ref = poly2d_reference_eigenfunctions()[-1.0]
+        rmse = []
+        for eta in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 0.0):
+            sol = solve(self.poly2d_problem(make_kernel("gaussian", gamma=1.0), 61, eta),
+                        reference=ref)
+            assert sol.n_centers < 3721 // 16
+            rmse.append(sol.rmse_rescaled)
+        assert all(a > b for a, b in zip(rmse[:-2], rmse[1:-1])), rmse
+        assert rmse[-1] < 1e-2
+
+    def test_rank_one_greedy_evaluates_xi_on_the_points_no_more_than_assembly(self):
+        sizes = []
+
+        def xi(x):
+            sizes.append(len(x))
+            return x[..., 0] - x[..., 1] ** 2 + np.sin(x[..., 1])
+
+        prob = self.poly2d_problem(RankOneKernel(xi), 21)
+        n = prob.points.shape[0]
+        assemble(prob)
+        full = sum(m for m in sizes if m >= n)
+        sizes.clear()
+        assert solve(prob).n_centers == 1
+        assert sum(m for m in sizes if m >= n) <= full
+
+
 class TestEvaluateAndGradient:
     def test_zero_coefficients_zero_function(self):
         prob = CollocationProblem.for_eigenvalue(

@@ -289,9 +289,10 @@ def test_rank_one_assembly_evaluates_xi_three_times():
     X = tensor_grid([(-1.0, 1.0), (-1.0, 1.0)], 11)
     prob = CollocationProblem.for_eigenvalue(system, -1.0, kn.RankOneKernel(xi), X)
     asm = assemble(prob)
-    # xi(X) fused with its 2d finite-difference probes, xi(X) for the anchor
-    # gradients, and the anchor fused with its probes
-    assert calls == [5 * len(X), len(X), 5]
+    # xi(X) fused with its 2d finite-difference probes, then for the anchor
+    # gradients the anchor (repeated once per direction) fused with its
+    # probes, and xi(X)
+    assert calls == [5 * len(X), 2 * 5, len(X)]
 
     # reference: one finite-difference call of xi per dimension, then the
     # (N, N, d) gradient tensor contracted with F
