@@ -135,17 +135,22 @@ def _locate_domain_violation(kernel, points):
         raise
 
 
+def _kernel_gradients(kernel: Kernel, x: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """grad_x k(x, C[j]) at one point x as a (dim, M) array: the directional
+    derivative along each axis, with x taken once per axis."""
+    d = x.shape[0]
+    return kernel.directional_pairwise(np.repeat(x[None, :], d, 0), np.eye(d), C)[1]
+
+
 def kernel_blocks(kernel: Kernel, F: np.ndarray, lam: float, X: np.ndarray,
                   anchor_point: np.ndarray, C: Optional[np.ndarray] = None):
     """The residual matrix B, the anchor gradients G0 (dim, M) and the Gram
     matrix K of one kernel on the points X, with F = f(X), for the M basis
-    points C (default: X); G0 is D for the anchor taken once per axis."""
+    points C (default: X)."""
     C = X if C is None else C
     K, B = kernel.directional_pairwise(X, F, C)
     B -= lam * K
-    d = X.shape[1]
-    G0 = kernel.directional_pairwise(np.repeat(anchor_point[None, :], d, 0), np.eye(d), C)[1]
-    return B, G0, K
+    return B, _kernel_gradients(kernel, anchor_point, C), K
 
 
 def assemble(problem: CollocationProblem, centers=None) -> AssembledSystem:
@@ -172,7 +177,7 @@ def assemble(problem: CollocationProblem, centers=None) -> AssembledSystem:
 
 @dataclass(frozen=True)
 class Solution:
-    alpha: np.ndarray
+    alpha: np.ndarray               # coefficients on all N points, zero off the centers
     phi: np.ndarray                 # phi on the collocation points, K alpha
     problem: CollocationProblem
     residual_norm: float            # ||B alpha||_2 / sqrt(N)
@@ -181,13 +186,18 @@ class Solution:
     rescale_factor: Optional[float] = None
     rmse_raw: Optional[float] = None
     rmse_rescaled: Optional[float] = None
-    n_centers: Optional[int] = None     # basis size: r greedy centers, or N
+    centers: Optional[np.ndarray] = None    # greedy center indices in pivot order; None: all points
 
     def __post_init__(self):
         vals = [self.residual_norm, self.anchor_error, *np.ravel(self.derivative_at_anchor)]
         vals += [v for v in (self.rescale_factor, self.rmse_raw, self.rmse_rescaled) if v is not None]
         if not np.all(np.isfinite(vals)):
             raise NumericalError("solution diagnostics contain non-finite values")
+
+    @property
+    def n_centers(self) -> int:
+        """Basis size: r greedy centers, or N."""
+        return len(self.alpha if self.centers is None else self.centers)
 
 
 def _solve_spd(normal: Callable[[], np.ndarray], rhs: np.ndarray) -> np.ndarray:
@@ -278,7 +288,8 @@ def solve(problem: CollocationProblem, reference: Optional[Callable] = None) -> 
     collocation points; fills the RMSE diagnostics.
     """
     greedy = _greedy_centers(problem.kernel, problem.points)
-    asm = assemble(problem, None if greedy is None else greedy[1])
+    centers = None if greedy is None else np.array(greedy[1])
+    asm = assemble(problem, centers)
     if not all(np.all(np.isfinite(m)) for m in (asm.B, asm.G0, asm.T, asm.Y)):
         raise NumericalError("assembled matrices contain non-finite entries")
     n = asm.B.shape[0]
@@ -289,7 +300,7 @@ def solve(problem: CollocationProblem, reference: Optional[Callable] = None) -> 
     else:
         # Newton basis K(X, C) Lc^-T, with K(C, C) = Lc Lc.T: every row block
         # of the objective is mapped by the same triangular factor
-        V, centers = greedy
+        V = greedy[0]
         Lc = V[:, centers].T
         newton = AssembledSystem(*(scipy.linalg.solve_triangular(Lc, M.T, lower=True).T
                                    for M in (asm.B, asm.G0, asm.T, asm.Y)), K=V.T)
@@ -311,30 +322,36 @@ def solve(problem: CollocationProblem, reference: Optional[Callable] = None) -> 
         rescale_factor=c_star,
         rmse_raw=rmse_raw,
         rmse_rescaled=rmse_rescaled,
-        n_centers=len(coef),
+        centers=centers,
     )
+
+
+def _expansion(solution: Solution):
+    """The basis points of phi and their coefficients: the centers, or all points."""
+    X, alpha, centers = solution.problem.points, solution.alpha, solution.centers
+    return (X, alpha) if centers is None else (X[centers], alpha[centers])
 
 
 def evaluate(solution: Solution, probes) -> np.ndarray:
     """phi on probe points from the coefficient expansion."""
     P = np.atleast_2d(np.asarray(probes, dtype=float))
-    prob = solution.problem
-    return prob.kernel.pairwise(P, prob.points) @ solution.alpha
+    C, coef = _expansion(solution)
+    return solution.problem.kernel.pairwise(P, C) @ coef
 
 
 def gradient_at(solution: Solution, x) -> np.ndarray:
+    C, coef = _expansion(solution)
     x = np.asarray(x, dtype=float).ravel()
-    prob = solution.problem
-    G = prob.kernel.grad_x_pairwise(x[None, :], prob.points)[0]  # (N, dim)
-    return G.T @ solution.alpha
+    return _kernel_gradients(solution.problem.kernel, x, C) @ coef
 
 
 def residual_field(solution: Solution, probes) -> np.ndarray:
     """Pointwise PDE residual f . grad(phi) - lam * phi on probes."""
     P = np.atleast_2d(np.asarray(probes, dtype=float))
     prob = solution.problem
-    K, D = prob.kernel.directional_pairwise(P, eval_field(prob.system, P), prob.points)
-    return D @ solution.alpha - prob.lam * (K @ solution.alpha)
+    C, coef = _expansion(solution)
+    K, D = prob.kernel.directional_pairwise(P, eval_field(prob.system, P), C)
+    return D @ coef - prob.lam * (K @ coef)
 
 
 def rescale_rmse(learned, reference):

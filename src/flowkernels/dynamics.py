@@ -42,11 +42,12 @@ DEFAULT_ESCAPE_RADIUS = 1e6
 
 @dataclass(frozen=True)
 class SystemDef:
-    """An autonomous ODE  x' = f(x)  with optional analytic Jacobian.
+    """An autonomous ODE  x' = f(x), with its analytic Jacobian.
 
     ``f`` must be vectorized: it accepts arrays shaped (..., dim) and
-    returns velocities of the same shape.  ``jacobian``, when given, maps a
-    single state (dim,) to the (dim, dim) matrix of partials.
+    returns velocities of the same shape.  ``jacobian`` maps a single state
+    (dim,) to the (dim, dim) matrix of partials; ``linearize`` needs it
+    whenever the system has an equilibrium.
     """
 
     name: str
@@ -280,22 +281,13 @@ def eval_field(sys: SystemDef, x: np.ndarray) -> np.ndarray:
     return sys.f(x)
 
 
-def _fd_jacobian(sys: SystemDef, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    J = np.empty((sys.dim, sys.dim))
-    for j in range(sys.dim):
-        e = np.zeros(sys.dim)
-        e[j] = h
-        J[:, j] = (eval_field(sys, x0 + e) - eval_field(sys, x0 - e)) / (2 * h)
-    return J
-
-
 def linearize(sys: SystemDef) -> LinearizationInfo:
     """Jacobian at the equilibrium plus its real simple left eigensystem."""
     if sys.equilibrium is None:
         raise ConfigurationError(f"system {sys.name!r} has no equilibrium to linearize at")
-    x0 = sys.equilibrium
-    E = sys.jacobian(x0) if sys.jacobian is not None else _fd_jacobian(sys, x0)
-    E = np.asarray(E, dtype=float)
+    if sys.jacobian is None:
+        raise ConfigurationError(f"system {sys.name!r} has no Jacobian to linearize with")
+    E = np.asarray(sys.jacobian(sys.equilibrium), dtype=float)
 
     lams, wmat = np.linalg.eig(E.T)  # right eigenvectors of E^T = left of E
     if np.max(np.abs(lams.imag)) > 1e-10 * max(np.max(np.abs(lams)), 1.0):

@@ -1,15 +1,12 @@
 """Base kernels with analytic first derivatives, and mixtures.
 
 Each closed-form family defines its formula once, as a profile of
-r^2 = ||x-y||^2 (radial) or of s = <x,y> (dot product).  Values, gradients
-in the first argument, pairwise matrices and the directional matrix
-D_ij = F_i . grad_x k(X_i, Y_j) all come from it.  ``directional_pairwise``
-allocates its two (N, M) results once and fills them a block of rows at a
-time, one slab per dimension within each block, so the assembly path
-builds neither an (N, M, d) array nor any other (N, M) temporary.
-Each family carries two descriptive flags, ``psd_guaranteed`` (False for
-sigmoid, and for triangular outside 1-D) and ``smooth``; no code in the
-package branches on them, and every family is admitted everywhere.
+r^2 = ||x-y||^2 (radial) or of s = <x,y> (dot product).  Values, pairwise
+matrices and the directional matrix D_ij = F_i . grad_x k(X_i, Y_j) all
+come from it.  ``directional_pairwise`` allocates its two (N, M) results
+once and fills them a block of rows at a time, one slab per dimension
+within each block, so the assembly path builds neither an (N, M, d) array
+nor any other (N, M) temporary.
 """
 
 from __future__ import annotations
@@ -91,16 +88,11 @@ class Kernel:
     """Interface: symmetric k(x, y) with gradient in the first argument."""
 
     family: str = "abstract"
-    psd_guaranteed: bool = True
-    smooth: bool = True
 
     def __init__(self, **params):
         self.params = params
 
     def eval(self, x, y):
-        raise NotImplementedError
-
-    def grad_x(self, x, y):
         raise NotImplementedError
 
     # pairwise helpers -------------------------------------------------------
@@ -109,11 +101,6 @@ class Kernel:
         """Matrix k(X[i], Y[j]); Y defaults to X."""
         X, Y = _pair(X, Y)
         return self.eval(X[:, None, :], Y[None, :, :])
-
-    def grad_x_pairwise(self, X, Y=None):
-        """Array of shape (n, m, d): gradient of k in x at (X[i], Y[j])."""
-        X, Y = _pair(X, Y)
-        return self.grad_x(X[:, None, :], Y[None, :, :])
 
     def gram_columns(self, X):
         """The diagonal k(X[i], X[i]) and a function of i giving k(X, X[i])."""
@@ -148,11 +135,6 @@ class _ProfileKernel(Kernel):
 
     def eval(self, x, y):
         return self._parts(np.asarray(x, dtype=float), np.asarray(y, dtype=float))[0]
-
-    def grad_x(self, x, y):
-        x = np.asarray(x, dtype=float)
-        slab = self._parts(x, np.asarray(y, dtype=float))[1]
-        return np.stack([slab(j) for j in range(x.shape[-1])], axis=-1)
 
     def _directional_block(self, X, F, Y):
         def block(s):
@@ -224,7 +206,6 @@ class ExponentialKernel(RadialKernel):
     diagonal, where the kernel has its kink."""
 
     family = "exponential"
-    smooth = False
 
     def __init__(self, gamma: float = 1.0):
         super().__init__(gamma=_positive("gamma", gamma))
@@ -267,15 +248,12 @@ class InverseQuadraticKernel(RadialKernel):
 class TriangularKernel(RadialKernel):
     """Compactly supported cone k(x,y) = max(0, 1 - ||x-y|| / sigma).
 
-    Positive semidefinite on the line but not in general dimension, so PSD
-    checks treat it like the sigmoid.  At the support edge ||x-y|| = sigma
-    the gradient is the one-sided limit from inside the support; on the
-    diagonal it is 0.
+    Positive semidefinite on the line but not in general dimension.  At the
+    support edge ||x-y|| = sigma the gradient is the one-sided limit from
+    inside the support; on the diagonal it is 0.
     """
 
     family = "triangular"
-    smooth = False
-    psd_guaranteed = False
 
     def __init__(self, sigma: float = 1.0):
         super().__init__(sigma=_positive("sigma", sigma))
@@ -292,7 +270,6 @@ class SigmoidKernel(DotProductKernel):
     """k(x,y) = tanh(gamma <x,y> + coef0); indefinite, admitted anyway."""
 
     family = "sigmoid"
-    psd_guaranteed = False
 
     def __init__(self, gamma: float = 1.0, coef0: float = 0.0):
         super().__init__(gamma=_positive("gamma", gamma), coef0=float(coef0))
@@ -354,17 +331,9 @@ class RankOneKernel(Kernel):
             return fd_value_and_grad(self.xi, x, FD_STEP)
         return np.asarray(self.xi(x)), np.asarray(self.xi_grad(x))
 
-    def grad_x(self, x, y):
-        xiy = np.asarray(self.xi(np.asarray(y, dtype=float)))
-        return xiy[..., None] * self._xi_and_grad(x)[1]
-
     def pairwise(self, X, Y=None):
         X, Y = _pair(X, Y)
         return np.outer(np.asarray(self.xi(X)), np.asarray(self.xi(Y)))
-
-    def grad_x_pairwise(self, X, Y=None):
-        X, Y = _pair(X, Y)
-        return np.asarray(self.xi(Y))[None, :, None] * self._xi_and_grad(X)[1][:, None, :]
 
     def gram_columns(self, X):
         v = np.asarray(self.xi(_as2d(X)))   # xi once for the diagonal and every column
@@ -400,22 +369,12 @@ class KernelMixture(Kernel):
         super().__init__(weights=tuple(beta))
         self.components = list(components)
         self.weights = beta
-        self.psd_guaranteed = all(c.psd_guaranteed for c in components)
-        self.smooth = all(c.smooth for c in components)
 
     def eval(self, x, y):
         return sum(b * c.eval(x, y) for b, c in zip(self.weights, self.components))
 
-    def grad_x(self, x, y):
-        return sum(b * c.grad_x(x, y) for b, c in zip(self.weights, self.components))
-
     def pairwise(self, X, Y=None):
         return sum(b * c.pairwise(X, Y) for b, c in zip(self.weights, self.components))
-
-    def grad_x_pairwise(self, X, Y=None):
-        return sum(
-            b * c.grad_x_pairwise(X, Y) for b, c in zip(self.weights, self.components)
-        )
 
     def _directional_block(self, X, F, Y):
         blocks = [c._directional_block(X, F, Y) for c in self.components]

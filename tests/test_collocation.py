@@ -303,12 +303,21 @@ class TestSolve:
         assert printed == f"{np.linalg.cond(B):.3e}"
 
     def test_phi_is_the_expansion_on_the_points(self):
-        prob = CollocationProblem.for_eigenvalue(
-            make_system("poly2d"), -1.0, make_kernel("gaussian", gamma=1.0),
-            tensor_grid([(-1, 1), (-1, 1)], 11),
-        )
-        sol = solve(prob)
-        assert np.array_equal(sol.phi, evaluate(sol, prob.points))
+        # evaluate and gradient_at expand on the solution's own basis, so they
+        # reproduce phi and the anchor derivative bit for bit, on the full
+        # basis and on greedy centers
+        for kernel, side, n_centers in [
+            (make_kernel("gaussian", gamma=1.0), 11, 121),
+            (make_kernel("polynomial", degree=2, coef0=0.5), 21, 6),
+            (make_kernel("exponential", gamma=1.0), 21, 441),
+        ]:
+            prob = CollocationProblem.for_eigenvalue(
+                make_system("poly2d"), -1.0, kernel, tensor_grid([(-1, 1), (-1, 1)], side),
+            )
+            sol = solve(prob)
+            assert sol.n_centers == n_centers
+            assert np.array_equal(sol.phi, evaluate(sol, prob.points))
+            assert np.array_equal(gradient_at(sol, prob.anchor_point), sol.derivative_at_anchor)
 
 
 class TestGreedyCenters:
@@ -323,8 +332,8 @@ class TestGreedyCenters:
         sol = solve(prob)
         assert sol.n_centers == 6
         assert np.count_nonzero(sol.alpha) == 6
-        phi = evaluate(sol, prob.points)
-        assert np.abs(phi - sol.phi).max() <= 1e-10 * np.abs(sol.phi).max()
+        assert np.array_equal(evaluate(sol, prob.points), sol.phi)
+        assert np.array_equal(gradient_at(sol, prob.anchor_point), sol.derivative_at_anchor)
 
     def test_non_compressing_kernel_keeps_the_full_basis_bit_for_bit(self):
         prob = self.poly2d_problem(make_kernel("exponential", gamma=1.0), 21)

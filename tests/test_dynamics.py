@@ -130,11 +130,10 @@ def test_advection_has_no_linearization():
         dyn.linearize(dyn.make_system("advection1d(1)"))
 
 
-def test_fd_jacobian_fallback_matches_analytic(poly):
-    bare = dyn.SystemDef("poly2d_fd", 2, poly.f, None, equilibrium=np.zeros(2))
-    lin_fd = dyn.linearize(bare)
-    lin = dyn.linearize(poly)
-    np.testing.assert_allclose(lin_fd.jacobian, lin.jacobian, atol=1e-8)
+def test_equilibrium_without_jacobian_rejected(poly):
+    bare = dyn.SystemDef("poly2d_bare", 2, poly.f, None, equilibrium=np.zeros(2))
+    with pytest.raises(ConfigurationError, match="'poly2d_bare' has no Jacobian"):
+        dyn.linearize(bare)
 
 
 def test_eigenpair_lookup(duffing):

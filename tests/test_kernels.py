@@ -23,9 +23,28 @@ ALL_FAMILIES = [
 ]
 
 
+# positive semidefinite in every dimension; triangular is so only on the
+# line, and sigmoid is indefinite
+PSD_FAMILIES = [k for k in ALL_FAMILIES
+                if k.family in ("gaussian", "exponential", "cauchy", "inverse_quadratic",
+                                "polynomial")]
+
+# families with a kink on the diagonal (and, for triangular, at the support edge)
+KINKED_FAMILIES = {"exponential", "triangular"}
+
+
 def random_pairs(n, dim, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return rng.uniform(-scale, scale, (n, dim)), rng.uniform(-scale, scale, (n, dim))
+
+
+def kernel_gradient(k, X, Y):
+    """Gradient of k in its first argument at every (X[i], Y[j]), shape
+    (n, m, d): directional_pairwise along each unit direction in turn."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    n, d = X.shape
+    return np.stack([k.directional_pairwise(X, np.tile(e, (n, 1)), Y)[1] for e in np.eye(d)],
+                    axis=-1)
 
 
 # ----------------------------------------------------------------------------
@@ -42,13 +61,13 @@ def test_polynomial_value_and_gradient():
     k = kn.PolynomialKernel(degree=2, coef0=0.5)
     x = np.array([1.0, 0.0])
     assert k.eval(x, x) == pytest.approx(2.25, abs=1e-15)
-    np.testing.assert_allclose(k.grad_x(x, x), [3.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(kernel_gradient(k, [x], [x])[0, 0], [3.0, 0.0], atol=1e-15)
 
 
 def test_singular_kernel_values_and_domain():
     k = kn.make_kernel("singular_1d")
     assert k.eval(np.array([0.5]), np.array([0.5])) == pytest.approx(1 / 3, abs=1e-15)
-    g = k.grad_x(np.array([0.0]), np.array([0.5]))
+    g = kernel_gradient(k, [[0.0]], [[0.5]])[0, 0]
     assert g[0] == pytest.approx(0.5773502691896258, abs=1e-15)
     with pytest.raises(ConfigurationError):
         k.eval(np.array([1.0]), np.array([0.5]))
@@ -94,9 +113,7 @@ def test_singular_symmetry():
     assert np.max(np.abs(k.eval(x, y) - k.eval(y, x))) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "k", [k for k in ALL_FAMILIES if k.psd_guaranteed], ids=lambda k: k.family
-)
+@pytest.mark.parametrize("k", PSD_FAMILIES, ids=lambda k: k.family)
 def test_gram_positive_semidefinite(k):
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -121,48 +138,41 @@ def test_singular_gram_is_rank_one():
     assert s[1] <= 1e-10 * s[0]
 
 
-@pytest.mark.parametrize("k", ALL_FAMILIES, ids=lambda k: k.family)
-def test_gradient_matches_finite_differences(k):
-    rng = np.random.default_rng(11)
-    h = 1e-5
+# (kernel, seed, points drawn from [-scale, scale]^dim, step h, draws)
+FD_CASES = [(k, 11, 1.0, 2, 1e-5, 30) for k in ALL_FAMILIES] + [
+    (kn.make_kernel("singular_1d"), 12, 0.9, 1, 1e-6, 20),
+]
+
+
+@pytest.mark.parametrize("k, seed, scale, dim, h, draws", FD_CASES,
+                         ids=[case[0].family for case in FD_CASES])
+def test_gradient_matches_finite_differences(k, seed, scale, dim, h, draws):
+    rng = np.random.default_rng(seed)
     checked = 0
-    for _ in range(30):
-        x, y = rng.uniform(-1, 1, (2, 2))
+    for _ in range(draws):
+        x, y = rng.uniform(-scale, scale, (2, dim))
         r = np.linalg.norm(x - y)
-        if not k.smooth and (r < 0.1 or abs(r - getattr(k, "sigma", np.inf)) < 0.05):
+        if k.family in KINKED_FAMILIES and (r < 0.1 or abs(r - getattr(k, "sigma", np.inf)) < 0.05):
             continue  # keep away from kinks
-        g = k.grad_x(x, y)
-        gfd = np.empty(2)
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            gfd[j] = (k.eval(x + e, y) - k.eval(x - e, y)) / (2 * h)
+        g = kernel_gradient(k, [x], [y])[0, 0]
+        gfd = np.array([(k.eval(x + e, y) - k.eval(x - e, y)) / (2 * h) for e in h * np.eye(dim)])
         denom = max(np.linalg.norm(gfd), 1e-8)
         assert np.linalg.norm(g - gfd) / denom <= 1e-5
         checked += 1
     assert checked >= 15
 
 
-def test_singular_gradient_matches_fd():
-    k = kn.make_kernel("singular_1d")
-    rng = np.random.default_rng(12)
-    h = 1e-6
-    for _ in range(20):
-        x, y = rng.uniform(-0.9, 0.9, (2, 1))
-        gfd = (k.eval(x + h, y) - k.eval(x - h, y)) / (2 * h)
-        assert abs(k.grad_x(x, y)[0] - gfd) <= 1e-5 * max(abs(gfd), 1e-8)
-
-
 def test_gaussian_gradient_vanishes_on_diagonal():
     k = kn.GaussianKernel(gamma=1.0)
     x = np.array([0.3, -0.4])
-    np.testing.assert_allclose(k.grad_x(x, x), 0.0, atol=1e-15)
+    np.testing.assert_allclose(kernel_gradient(k, [x], [x])[0, 0], 0.0, atol=1e-15)
 
 
 def test_triangular_edge_flag():
     k = kn.TriangularKernel(sigma=1.0)
     x, y = np.array([1.0, 0.0]), np.array([0.0, 0.0])
-    np.testing.assert_allclose(k.grad_x(x, y), [-1.0, 0.0], atol=1e-12)  # interior slope
+    np.testing.assert_allclose(kernel_gradient(k, [x], [y])[0, 0], [-1.0, 0.0],
+                               atol=1e-12)  # interior slope
 
 
 # ----------------------------------------------------------------------------
@@ -196,7 +206,7 @@ def test_rank_one_fd_gradient():
     k = kn.RankOneKernel(xi)
     x, y = np.array([0.4, 0.7]), np.array([-0.2, 0.3])
     expected = xi(y) * np.array([np.cos(0.4) * 0.7, np.sin(0.4)])
-    np.testing.assert_allclose(k.grad_x(x, y), expected, atol=1e-9)
+    np.testing.assert_allclose(kernel_gradient(k, [x], [y])[0, 0], expected, atol=1e-9)
 
 
 # ----------------------------------------------------------------------------
@@ -205,7 +215,8 @@ def test_rank_one_fd_gradient():
 
 def _tensor_reference(k, system, lam, X, Y=None):
     """K and B = F . grad_x K - lam K built from the full gradient tensor."""
-    G = k.grad_x_pairwise(X, Y)
+    Y = X if Y is None else Y
+    G = kernel_gradient(k, X, Y)
     K = k.pairwise(X, Y)
     return K, np.einsum("ijd,id->ij", G, eval_field(system, X)) - lam * K, G
 
@@ -219,7 +230,7 @@ def test_directional_assembly_is_bit_identical_to_gradient_tensor(k):
     K, B, G = _tensor_reference(k, system, prob.lam, X)
     assert np.array_equal(asm.K, K)
     assert np.array_equal(asm.B, B)
-    assert np.array_equal(asm.G0, k.grad_x_pairwise(np.zeros((1, 2)), X)[0].T)
+    assert np.array_equal(asm.G0, kernel_gradient(k, np.zeros((1, 2)), X)[0].T)
     if k.family in ("exponential", "triangular"):
         assert np.all(G[np.arange(len(X)), np.arange(len(X))] == 0.0)
 
@@ -328,7 +339,7 @@ def test_single_component_mixture_is_identity():
     mix = kn.KernelMixture([k], [1.0])
     X, Y = random_pairs(20, 2, 14)
     np.testing.assert_allclose(mix.eval(X, Y), k.eval(X, Y), atol=0)
-    np.testing.assert_allclose(mix.grad_x(X, Y), k.grad_x(X, Y), atol=0)
+    np.testing.assert_allclose(kernel_gradient(mix, X, Y), kernel_gradient(k, X, Y), atol=0)
 
 
 def test_two_gaussian_mixture_linearity():
@@ -350,15 +361,6 @@ def test_mixture_gram_linearity():
     direct = mix.pairwise(X)
     summed = sum(b * c.pairwise(X) for b, c in zip(beta, comps))
     assert np.max(np.abs(direct - summed)) <= 1e-14
-
-
-def test_mixture_psd_flag_tracks_components():
-    good = kn.KernelMixture([kn.GaussianKernel(gamma=1.0)], [1.0])
-    assert good.psd_guaranteed
-    bad = kn.KernelMixture(
-        [kn.GaussianKernel(gamma=1.0), kn.SigmoidKernel(gamma=0.5)], [0.5, 0.5]
-    )
-    assert not bad.psd_guaranteed
 
 
 def test_uniform_eleven_kernel_bank_weights():
