@@ -7,19 +7,13 @@ precision; a bounded gaussian cannot get within three orders of
 magnitude no matter how the scalar normalization is chosen.
 """
 
-import numpy as np
-
 from flowkernels import CollocationProblem, PenaltyConfig, make_kernel, make_system, solve
+from flowkernels.dynamics import _CLOSED_FORMS
 from flowkernels.grids import boundary_sets, tensor_grid
 
 system = make_system("cubic1d")
 X = tensor_grid([(-0.99, 0.99)], [199])
-
-
-def reference(points):
-    x = np.asarray(points)[:, 0]
-    return x / np.sqrt(1.0 - x * x)
-
+reference = _CLOSED_FORMS["cubic1d", 1.0]
 
 trace, layer = boundary_sets(X)
 penalties = PenaltyConfig(mu_trace=1e2, mu_layer=1e2,

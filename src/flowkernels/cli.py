@@ -23,7 +23,7 @@ from . import __version__
 from .advection import AdvectionProblem, QuadratureRule, unification_check
 from .collocation import CollocationProblem, PenaltyConfig, _locate_domain_violation, solve
 from .config import COMMANDS, SCHEMA_VERSION, ExperimentConfig, preset, preset_names
-from .dynamics import builtin_system_names, linearize, make_system
+from .dynamics import _CLOSED_FORMS, builtin_system_names, linearize, make_system
 from .errors import ConfigurationError, FlowEscapeError, NumericalError
 from .grids import boundary_sets, tensor_grid
 from .kernels import make_kernel
@@ -91,18 +91,8 @@ def write_metrics(path, entries: Dict[str, object]) -> None:
 
 def _reference_for(system_name: str, lam: float):
     """Closed-form eigenfunction for the built-ins that have one, else None."""
-    from .dynamics import poly2d_reference_eigenfunctions
-
-    if system_name == "cubic1d" and abs(lam - 1.0) <= 1e-9:
-        def ref(X):
-            x = np.asarray(X, dtype=float)[..., 0]
-            return x / np.sqrt(1.0 - x * x)
-        return ref
-    if system_name == "poly2d":
-        for rate, fn in poly2d_reference_eigenfunctions().items():
-            if abs(lam - rate) <= 1e-9:
-                return fn
-    return None
+    return next((fn for (name, rate), fn in _CLOSED_FORMS.items()
+                 if name == system_name and abs(lam - rate) <= 1e-9), None)
 
 
 def _resolve_lam(cfg: ExperimentConfig, lin) -> float:

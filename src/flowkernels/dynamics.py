@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatchError,
     FlowEscapeError,
     NumericalError,
+    UnknownEigenvalueError,
     UnsupportedSpectrumError,
 )
 
@@ -81,8 +82,6 @@ class LinearizationInfo:
 
     def eigenpair(self, lam: float, tol: float = 1e-9):
         """Return (eigenvalue, left eigenvector) matching ``lam`` within tol."""
-        from .errors import UnknownEigenvalueError
-
         idx = np.argmin(np.abs(self.eigenvalues - lam))
         if abs(self.eigenvalues[idx] - lam) > tol:
             raise UnknownEigenvalueError(
@@ -163,20 +162,19 @@ def _poly2d() -> SystemDef:
     return SystemDef("poly2d", 2, f, jac, equilibrium=np.zeros(2))
 
 
+# Closed-form eigenfunctions of the built-ins that have one, keyed by
+# (system name, rate); vectorized callables on (..., dim) arrays.
+_CLOSED_FORMS = {
+    ("cubic1d", 1.0): lambda x: x[..., 0] / np.sqrt(1.0 - x[..., 0] * x[..., 0]),
+    ("poly2d", -1.0): lambda x: x[..., 0] - x[..., 1] ** 2,
+    ("poly2d", 3.0): lambda x: x[..., 1] - (x[..., 0] - x[..., 1] ** 2) ** 2,
+}
+
+
 def poly2d_reference_eigenfunctions():
-    """Closed-form spectral observables of poly2d, keyed by their rate.
-
-    Returns a dict {-1.0: u, 3.0: v} of vectorized callables on (..., 2)
-    arrays.  Used throughout the tests as an exact oracle.
-    """
-
-    def u(x):
-        return x[..., 0] - x[..., 1] ** 2
-
-    def v(x):
-        return x[..., 1] - (x[..., 0] - x[..., 1] ** 2) ** 2
-
-    return {-1.0: u, 3.0: v}
+    """poly2d's closed forms keyed by rate, {-1.0: u, 3.0: v}, with
+    u = x1 - x2^2 and v = x2 - u^2; the tests' exact oracle."""
+    return {rate: fn for (name, rate), fn in _CLOSED_FORMS.items() if name == "poly2d"}
 
 
 def _duffing(delta: float = 0.5, beta: float = -1.0, alpha: float = 1.0) -> SystemDef:

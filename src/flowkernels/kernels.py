@@ -3,10 +3,10 @@
 Each closed-form family defines its formula once, as a profile of
 r^2 = ||x-y||^2 (radial) or of s = <x,y> (dot product).  Values, pairwise
 matrices and the directional matrix D_ij = F_i . grad_x k(X_i, Y_j) all
-come from it.  ``directional_pairwise`` allocates its two (N, M) results
-once and fills them a block of rows at a time, one slab per dimension
-within each block, so the assembly path builds neither an (N, M, d) array
-nor any other (N, M) temporary.
+come from it.  One row-block loop fills every kernel matrix, values and
+directional alike, mixtures and multiple-kernel learning included: the
+(N, M) results are allocated once and written a block of rows at a time,
+so no fill builds an (N, M, d) array or any other (N, M) temporary.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 
+from .dynamics import _CLOSED_FORMS
 from .errors import ConfigurationError
 
 __all__ = [
@@ -76,6 +77,27 @@ def fd_value_and_grad(fn, x, h):
     return v[0].reshape(x.shape[:-1]), grad.T.reshape(x.shape)
 
 
+def _fill_rows(block, n, m, parts=1):
+    """The ``parts`` (n, m) matrices of which ``block(s)`` returns the row
+    slice s, written a block of about _BLOCK_ENTRIES entries at a time."""
+    out = [np.empty((n, m)) for _ in range(parts)]
+    rows = max(1, _BLOCK_ENTRIES // max(m, 1))
+    for start in range(0, n, rows):
+        s = slice(start, start + rows)
+        for matrix, rows_s in zip(out, block(s)):
+            matrix[s] = rows_s
+    return out
+
+
+def _bank_sum(weights, parts):
+    """sum_l weights[l] * parts[l], accumulated in bank order from 0; every
+    mixture matrix is summed this way, so they agree bit for bit."""
+    acc = 0
+    for b, part in zip(weights, parts):
+        acc = acc + b * part
+    return acc
+
+
 def _contract(F, slab, dim):
     """sum_j F[:, j] * slab(j), accumulated in dimension order."""
     D = F[:, 0, None] * slab(0)
@@ -85,7 +107,9 @@ def _contract(F, slab, dim):
 
 
 class Kernel:
-    """Interface: symmetric k(x, y) with gradient in the first argument."""
+    """Interface: symmetric k(x, y) with gradient in the first argument.
+    Subclasses give ``eval`` and ``_block(X, Y, F=None)``, a function of a
+    row slice s returning (K[s],), or (K[s], D[s]) given directions F."""
 
     family: str = "abstract"
 
@@ -100,7 +124,7 @@ class Kernel:
     def pairwise(self, X, Y=None):
         """Matrix k(X[i], Y[j]); Y defaults to X."""
         X, Y = _pair(X, Y)
-        return self.eval(X[:, None, :], Y[None, :, :])
+        return _fill_rows(self._block(X, Y), len(X), len(Y))[0]
 
     def gram_columns(self, X):
         """The diagonal k(X[i], X[i]) and a function of i giving k(X, X[i])."""
@@ -114,14 +138,7 @@ class Kernel:
         are (n, m), written one block of rows at a time.
         """
         X, Y = _pair(X, Y)
-        n, m = len(X), len(Y)
-        K, D = np.empty((n, m)), np.empty((n, m))
-        block = self._directional_block(X, F, Y)  # row slice s -> (K[s], D[s])
-        rows = max(1, _BLOCK_ENTRIES // max(m, 1))
-        for start in range(0, n, rows):
-            s = slice(start, start + rows)
-            K[s], D[s] = block(s)
-        return K, D
+        return tuple(_fill_rows(self._block(X, Y, F), len(X), len(Y), parts=2))
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -136,10 +153,10 @@ class _ProfileKernel(Kernel):
     def eval(self, x, y):
         return self._parts(np.asarray(x, dtype=float), np.asarray(y, dtype=float))[0]
 
-    def _directional_block(self, X, F, Y):
+    def _block(self, X, Y, F=None):
         def block(s):
             K, slab = self._parts(X[s, None, :], Y[None, :, :])
-            return K, _contract(F[s], slab, X.shape[1])
+            return (K,) if F is None else (K, _contract(F[s], slab, X.shape[1]))
 
         return block
 
@@ -325,28 +342,26 @@ class RankOneKernel(Kernel):
             self.xi(np.asarray(y, dtype=float))
         )
 
-    def _xi_and_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.xi_grad is None:
-            return fd_value_and_grad(self.xi, x, FD_STEP)
-        return np.asarray(self.xi(x)), np.asarray(self.xi_grad(x))
-
-    def pairwise(self, X, Y=None):
-        X, Y = _pair(X, Y)
-        return np.outer(np.asarray(self.xi(X)), np.asarray(self.xi(Y)))
-
     def gram_columns(self, X):
         v = np.asarray(self.xi(_as2d(X)))   # xi once for the diagonal and every column
         return v * v, lambda i: v * v[i]
 
-    def _directional_block(self, X, F, Y):
-        # xi and its gradient once for all blocks; xi(X) serves Y when Y is X
-        xi_x, g = self._xi_and_grad(X)
+    def _block(self, X, Y, F=None):
+        # xi, and its gradient only given directions, once for all blocks;
+        # xi(X) serves Y when Y is X
+        if F is None:
+            xi_x = np.asarray(self.xi(X))
+        elif self.xi_grad is None:
+            xi_x, g = fd_value_and_grad(self.xi, X, FD_STEP)
+        else:
+            xi_x, g = np.asarray(self.xi(X)), np.asarray(self.xi_grad(X))
         xi_y = xi_x if Y is X else np.asarray(self.xi(Y))
 
         def block(s):
-            D = _contract(F[s], lambda j: xi_y * g[s, j, None], X.shape[1])
-            return np.outer(xi_x[s], xi_y), D
+            K = np.outer(xi_x[s], xi_y)
+            if F is None:
+                return (K,)
+            return K, _contract(F[s], lambda j: xi_y * g[s, j, None], X.shape[1])
 
         return block
 
@@ -371,26 +386,22 @@ class KernelMixture(Kernel):
         self.weights = beta
 
     def eval(self, x, y):
-        return sum(b * c.eval(x, y) for b, c in zip(self.weights, self.components))
+        return _bank_sum(self.weights, (c.eval(x, y) for c in self.components))
 
-    def pairwise(self, X, Y=None):
-        return sum(b * c.pairwise(X, Y) for b, c in zip(self.weights, self.components))
-
-    def _directional_block(self, X, F, Y):
-        blocks = [c._directional_block(X, F, Y) for c in self.components]
+    def _block(self, X, Y, F=None):
+        blocks = [c._block(X, Y, F) for c in self.components]
 
         def block(s):
-            K = D = 0
-            for b, component_block in zip(self.weights, blocks):
-                Kc, Dc = component_block(s)
-                K, D = K + b * Kc, D + b * Dc
-            return K, D
+            # the components' K rows, then their D rows, each summed in bank order
+            return tuple(_bank_sum(self.weights, parts)
+                         for parts in zip(*(b(s) for b in blocks)))
 
         return block
 
 
 def _singular_1d() -> RankOneKernel:
-    """Rank-one kernel p(x) p(y) with p(x) = x / sqrt(1 - x^2) on (-1, 1).
+    """Rank-one kernel p(x) p(y) on (-1, 1), with p(x) = x / sqrt(1 - x^2)
+    the closed-form eigenfunction of cubic1d at rate 1.
 
     The factor blows up at the interval ends, which is exactly the point:
     it spans functions with the boundary growth that bounded smooth kernels
@@ -402,10 +413,9 @@ def _singular_1d() -> RankOneKernel:
             raise ConfigurationError(
                 f"singular_1d kernel takes 1-D points, got shape {x.shape}"
             )
-        v = x[..., 0]
-        if np.any(np.abs(v) >= 1.0):
+        if np.any(np.abs(x[..., 0]) >= 1.0):
             raise ConfigurationError("singular_1d kernel is defined on |x| < 1 only")
-        return v / np.sqrt(1.0 - v * v)
+        return _CLOSED_FORMS["cubic1d", 1.0](x)
 
     kernel = RankOneKernel(p, xi_grad=lambda x: (1.0 - x * x) ** -1.5)
     kernel.family = "singular_1d"

@@ -34,6 +34,8 @@ from .kernels import (
     PolynomialKernel,
     SigmoidKernel,
     TriangularKernel,
+    _bank_sum,
+    _fill_rows,
 )
 
 __all__ = [
@@ -85,6 +87,10 @@ class MKLConfig:
             raise ConfigurationError("need at least 2 base kernels")
         if not (0.0 <= self.tau < 1.0):
             raise ConfigurationError(f"threshold tau must be in [0, 1), got {self.tau}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 0:
+            raise ConfigurationError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
+        if not (0.0 <= self.gtol < np.inf):
+            raise ConfigurationError(f"gtol must be finite and >= 0, got {self.gtol}")
 
 
 @dataclass(frozen=True)
@@ -177,16 +183,9 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
     beta = v / v.sum()
     alpha = evaluate(res.x)[2]
 
-    # summed in bank order, as KernelMixture.pairwise does, so phi is bitwise
-    # the learned mixture's Gram matrix times alpha; 64 rows at a time keep
-    # the running sum in cache (3x faster than whole slabs at N=961, 2 cores)
-    K = np.empty((n, n))
-    for s in range(0, n, 64):
-        rows = K[s:s + 64]
-        np.multiply(Ks[0, s:s + 64], beta[0], out=rows)
-        for b, Kl in zip(beta[1:], Ks[1:]):
-            rows += b * Kl[s:s + 64]
-    phi = K @ alpha
+    # the learned mixture's Gram matrix, filled and summed as KernelMixture
+    # fills and sums it, so phi is bitwise that mixture's pairwise(X) @ alpha
+    phi = _fill_rows(lambda s: (_bank_sum(beta, Ks[:, s]),), n, n)[0] @ alpha
     c_star, rmse, _ = _reference_fit(phi, X, reference)
     return MKLResult(
         beta=beta, alpha=alpha, phi=phi,

@@ -64,7 +64,7 @@ def mercer_decompose(kernel, grid=None, weights=None) -> MercerDecomposition:
             raise ConfigurationError("grid required when a kernel object is passed")
         K = kernel.pairwise(grid)
     else:
-        K = np.asarray(kernel, dtype=float)
+        K = np.array(kernel, dtype=float)   # a copy: K is weighted in place below
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ConfigurationError("precomputed Gram matrix must be square")
     n = K.shape[0]
@@ -73,9 +73,11 @@ def mercer_decompose(kernel, grid=None, weights=None) -> MercerDecomposition:
         raise ConfigurationError("weights must be positive and match the grid size")
 
     sw = np.sqrt(w)
-    S = sw[:, None] * K * sw[None, :]
-    S = 0.5 * (S + S.T)
-    mu, V = np.linalg.eigh(S)
+    K *= sw[:, None]
+    K *= sw
+    K += K.T
+    K *= 0.5
+    mu, V = np.linalg.eigh(K)
     mu, V = mu[::-1].copy(), V[:, ::-1].copy()
 
     top = mu[0] if n else 0.0

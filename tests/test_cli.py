@@ -260,6 +260,10 @@ _CONFIG_CASES = {
     "no_horizon": (_edit(ESCAPE_INI, "T = 10\n", ""), "path-integral", 2),
     "unknown_bank": (_edit(preset("poly2d_mkl_l1").to_string(), "bank = default11",
                            "bank = other"), "mkl", 2),
+    "mkl_max_iter_negative": (_edit(preset("poly2d_mkl_l1").to_string(), "max_iter = 200",
+                                    "max_iter = -3"), "mkl", 2),
+    "mkl_gtol_nan": (_edit(preset("poly2d_mkl_l1").to_string(), "gtol = 1e-6",
+                           "gtol = nan"), "mkl", 2),
     "mercer_k_above_points": (_edit(MERCER_INI, "k = 3", "k = 500"), "mercer", 2),
     "alias_rbf": (_edit(MERCER_INI, "family = gaussian", "family = rbf"), "mercer", 0),
     "alias_laplacian": (_edit(MERCER_INI, "family = gaussian", "family = laplacian"),

@@ -280,13 +280,29 @@ def test_blocked_directional_assembly_equals_unblocked(k, monkeypatch):
     monkeypatch.setattr(kn, "_BLOCK_ENTRIES", 10 ** 9)        # one block
     whole = [k.directional_pairwise(A, eval_field(system, A), Y) for A, Y in cases]
     # 1000 entries: blocks of 5 rows (M = 169, last block ragged) and of 20
-    # rows (M = 50, ragged); 100 entries: one row per block when M = 169
-    for entries in (1000, 100):
+    # rows (M = 50, ragged); 100 entries: one row per block when M = 169;
+    # pairwise is the value half of the same fill at every block size
+    for entries in (10 ** 9, 1000, 100):
         monkeypatch.setattr(kn, "_BLOCK_ENTRIES", entries)
         for (A, Y), (K, D) in zip(cases, whole):
             Kb, Db = k.directional_pairwise(A, eval_field(system, A), Y)
             assert np.array_equal(Kb, K)
             assert np.array_equal(Db, D)
+            assert np.array_equal(k.pairwise(A, Y), K)
+
+
+def test_rank_one_pairwise_evaluates_xi_once():
+    calls = []
+
+    def xi(x):
+        calls.append(len(x))
+        return x[..., 0] - x[..., 1] ** 2
+
+    X = tensor_grid([(-1.0, 1.0), (-1.0, 1.0)], 11)
+    K = kn.RankOneKernel(xi).pairwise(X)
+    assert calls == [len(X)]        # xi(X) serves both sides; no gradient
+    v = xi(X)
+    assert np.array_equal(K, np.outer(v, v))
 
 
 def test_rank_one_assembly_evaluates_xi_three_times():

@@ -51,6 +51,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             MKLConfig(tau=1.0)
 
+    @pytest.mark.parametrize("key, value", [("max_iter", -3), ("max_iter", 2.5),
+                                            ("gtol", float("nan")), ("gtol", float("inf")),
+                                            ("gtol", -1e-6)])
+    def test_optimizer_settings_validated(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            MKLConfig(**{key: value})
+
     def test_result_rejects_weights_off_simplex(self):
         with pytest.raises(NumericalError):
             MKLResult(

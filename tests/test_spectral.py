@@ -27,7 +27,9 @@ class TestMercerDecompose:
         assert np.sum(mu > 1e-10 * mu[0]) == 1
 
     def test_diagonal_gram_gives_coordinate_modes(self):
-        dec = mercer_decompose(np.eye(6))
+        gram = np.eye(6)
+        dec = mercer_decompose(gram)
+        assert np.array_equal(gram, np.eye(6))     # weighted on a copy, not in place
         # each mode is supported on exactly one grid point
         for j in range(6):
             col = dec.modes[:, j]
