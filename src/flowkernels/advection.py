@@ -41,10 +41,10 @@ class AdvectionProblem:
     b: float = 30.0
 
     def __post_init__(self):
-        if self.c == 0:
-            raise ConfigurationError("advection speed c must be nonzero")
-        if not (self.lam > 0):
-            raise ConfigurationError(f"decay rate lam must be positive, got {self.lam}")
+        if not 0 < abs(self.c) < np.inf:
+            raise ConfigurationError(f"advection speed c must be finite and nonzero, got {self.c}")
+        if not 0 < self.lam < np.inf:
+            raise ConfigurationError(f"decay rate lam must be finite and positive, got {self.lam}")
         if not (self.a < self.b):
             raise ConfigurationError(f"domain needs a < b, got [{self.a}, {self.b}]")
 
@@ -68,8 +68,8 @@ class QuadratureRule:
             raise ConfigurationError("quadrature rule needs at least 2 nodes")
         if self.scheme not in ("trapezoid", "gauss_legendre"):
             raise ConfigurationError(f"unknown quadrature scheme {self.scheme!r}")
-        if not (self.a < self.b):
-            raise ConfigurationError("quadrature interval needs a < b")
+        if not -np.inf < self.a < self.b < np.inf:
+            raise ConfigurationError("quadrature interval needs finite a < b")
 
     @property
     def spacing(self) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .advection import AdvectionProblem, QuadratureRule, unification_check
-from .collocation import CollocationProblem, PenaltyConfig, _locate_domain_violation, solve
+from .collocation import CollocationProblem, PenaltyConfig, solve
 from .config import COMMANDS, SCHEMA_VERSION, ExperimentConfig, preset, preset_names
 from .dynamics import _CLOSED_FORMS, builtin_system_names, linearize, make_system
 from .errors import ConfigurationError, FlowEscapeError, NumericalError
@@ -108,17 +108,14 @@ def _resolve_lam(cfg: ExperimentConfig, lin) -> float:
     return lam
 
 
-def _kernel_from_spec(spec: Dict[str, str]):
-    spec = dict(spec)
+def _kernel_from_spec(cfg: ExperimentConfig):
+    """The [kernel] family; degree is an integer, every other key a finite number."""
+    spec = cfg.kernel_spec()
     family = spec.pop("family", None)
     if family is None:
         raise ConfigurationError("missing [kernel] family")
-    hyper = {}
-    for k, v in spec.items():
-        try:
-            hyper[k] = int(v) if k == "degree" else float(v)
-        except ValueError as exc:
-            raise ConfigurationError(f"[kernel] {k} is not numeric: {v!r}") from exc
+    hyper = {k: cfg.get_int("kernel", k) if k == "degree" else cfg.get_float("kernel", k)
+             for k in spec}
     return make_kernel(family, **hyper)
 
 
@@ -186,10 +183,10 @@ def _run_solve(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     lam = _resolve_lam(cfg, linearize(system))
     X = _grid_points(cfg)
     prob = CollocationProblem.for_eigenvalue(
-        system, lam, _kernel_from_spec(cfg.kernel_spec()), X,
+        system, lam, _kernel_from_spec(cfg), X,
         penalties=_penalties(cfg, X),
     )
-    _locate_domain_violation(prob.kernel, X)
+    prob.kernel.eval(X, X)    # a kernel invalid on the grid fails before the archive
     _archive(cfg, outdir)
     ref = _reference_for(system.name, prob.lam)
     sol = solve(prob, reference=ref)
@@ -301,11 +298,11 @@ def _run_path_integral(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
 
 def _run_mercer(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     X = _grid_points(cfg)
-    kernel = _kernel_from_spec(cfg.kernel_spec())
+    kernel = _kernel_from_spec(cfg)
     k = cfg.get_int("mercer", "k", min(6, len(X)))
     if not (1 <= k <= len(X)):
         raise ConfigurationError(f"[mercer] k={k} not in 1..{len(X)}")
-    _locate_domain_violation(kernel, X)
+    kernel.eval(X, X)    # a kernel invalid on the grid fails before the archive
     _archive(cfg, outdir)
     dec = mercer_decompose(kernel, grid=X)
 

@@ -122,19 +122,6 @@ class AssembledSystem:
     K: np.ndarray       # (N, M) Gram matrix; the M basis points c_j are all N points or centers
 
 
-def _locate_domain_violation(kernel, points):
-    """Name the first of the (N, dim) points where the kernel's diagonal fails."""
-    try:
-        kernel.eval(points, points)
-    except ConfigurationError:
-        for i, x in enumerate(points):
-            try:
-                kernel.eval(x, x)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"kernel invalid at point index {i}, x={x}: {exc}") from exc
-        raise
-
-
 def _kernel_gradients(kernel: Kernel, x: np.ndarray, C: np.ndarray) -> np.ndarray:
     """grad_x k(x, C[j]) at one point x as a (dim, M) array: the directional
     derivative along each axis, with x taken once per axis."""
@@ -159,11 +146,7 @@ def assemble(problem: CollocationProblem, centers=None) -> AssembledSystem:
     C = X if centers is None else X[centers]
     kern = problem.kernel
     F = eval_field(problem.system, X)
-    try:
-        B, G0, K = kernel_blocks(kern, F, problem.lam, X, problem.anchor_point, C)
-    except ConfigurationError:
-        _locate_domain_violation(kern, X)
-        raise
+    B, G0, K = kernel_blocks(kern, F, problem.lam, X, problem.anchor_point, C)
 
     pen = problem.penalties
     T = np.empty((0, len(C)))
@@ -261,11 +244,7 @@ def _greedy_centers(kernel: Kernel, X: np.ndarray):
     function: (V, pivots) once the largest remaining diagonal is at most
     n eps max diag, or None after n // 16 steps or at a negative pivot."""
     n = X.shape[0]
-    try:
-        diag, column = kernel.gram_columns(X)
-    except ConfigurationError:
-        _locate_domain_violation(kernel, X)
-        raise
+    diag, column = kernel.gram_columns(X)
     diag = np.array(diag, dtype=float)
     tol = n * np.finfo(float).eps * np.abs(diag).max()
     cap = n // 16

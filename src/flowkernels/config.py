@@ -3,13 +3,15 @@
 A config is a two-level mapping section -> key -> string.  Keeping the
 canonical representation textual makes the write/parse round trip exact
 by construction.  Typed accessors parse values on demand; a missing key
-without a default, or a value that does not parse, is a config error.
+without a default, or a value that does not parse, is a config error, and
+so is a number that is NaN or infinite.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -35,6 +37,12 @@ def _parse_bool(v: str) -> bool:
         return _BOOLS[v.strip().lower()]
     except KeyError:
         raise ValueError(v) from None
+
+
+def _parse_finite(v: str) -> float:
+    if not math.isfinite(x := float(v)):
+        raise ValueError(v)
+    return x
 
 
 @dataclass(frozen=True, eq=True)
@@ -65,7 +73,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"[{section}] {key} is not {what}: {v!r}") from exc
 
     def get_float(self, section: str, key: str, default: Optional[float] = None) -> float:
-        return self._parsed(section, key, default, float, "a number")
+        return self._parsed(section, key, default, _parse_finite, "a finite number")
 
     def get_int(self, section: str, key: str, default: Optional[int] = None) -> int:
         return self._parsed(section, key, default, int, "an integer")
@@ -96,8 +104,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"[grid] bounds or counts not numeric: {exc}") from exc
         if len(counts) != len(bounds):
             raise ConfigurationError("grid bounds and counts disagree on dimension")
-        if any(c < 2 for c in counts):
-            raise ConfigurationError("grid counts must be >= 2 per axis")
         return bounds, counts
 
     def kernel_spec(self) -> Dict[str, str]:

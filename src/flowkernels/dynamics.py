@@ -83,7 +83,7 @@ class LinearizationInfo:
     def eigenpair(self, lam: float, tol: float = 1e-9):
         """Return (eigenvalue, left eigenvector) matching ``lam`` within tol."""
         idx = np.argmin(np.abs(self.eigenvalues - lam))
-        if abs(self.eigenvalues[idx] - lam) > tol:
+        if not abs(self.eigenvalues[idx] - lam) <= tol:
             raise UnknownEigenvalueError(
                 f"{lam} is not an eigenvalue of the linearization "
                 f"(spectrum: {self.eigenvalues})"

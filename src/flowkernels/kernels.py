@@ -192,8 +192,8 @@ class DotProductKernel(_ProfileKernel):
 
 
 def _positive(name, value):
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be positive, got {value}")
+    if not 0 < value < np.inf:
+        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
     return float(value)
 
 
@@ -289,6 +289,8 @@ class SigmoidKernel(DotProductKernel):
     family = "sigmoid"
 
     def __init__(self, gamma: float = 1.0, coef0: float = 0.0):
+        if not np.isfinite(coef0):
+            raise ConfigurationError(f"coef0 must be finite, got {coef0}")
         super().__init__(gamma=_positive("gamma", gamma), coef0=float(coef0))
         self.gamma = float(gamma)
         self.coef0 = float(coef0)
@@ -306,8 +308,8 @@ class PolynomialKernel(DotProductKernel):
     def __init__(self, degree: int = 2, coef0: float = 1.0):
         if int(degree) != degree or degree < 1:
             raise ConfigurationError(f"degree must be a positive integer, got {degree}")
-        if coef0 < 0:
-            raise ConfigurationError(f"coef0 must be nonnegative, got {coef0}")
+        if not 0 <= coef0 < np.inf:
+            raise ConfigurationError(f"coef0 must be nonnegative and finite, got {coef0}")
         if degree > 6:
             warnings.warn(
                 f"polynomial degree {degree} is outside the tested range 2..6",
@@ -375,9 +377,9 @@ class KernelMixture(Kernel):
         beta = np.asarray(weights, dtype=float)
         if len(components) != beta.size:
             raise ConfigurationError("weights and components must match in length")
-        if np.any(beta < 0):
+        if not np.all(beta >= 0):
             raise ConfigurationError("mixture weights must be nonnegative")
-        if abs(beta.sum() - 1.0) > 1e-12:
+        if not abs(beta.sum() - 1.0) <= 1e-12:
             raise ConfigurationError(
                 f"mixture weights must sum to 1 within 1e-12, got {beta.sum()!r}"
             )
@@ -413,8 +415,10 @@ def _singular_1d() -> RankOneKernel:
             raise ConfigurationError(
                 f"singular_1d kernel takes 1-D points, got shape {x.shape}"
             )
-        if np.any(np.abs(x[..., 0]) >= 1.0):
-            raise ConfigurationError("singular_1d kernel is defined on |x| < 1 only")
+        bad = np.flatnonzero(~(np.abs(x[..., 0]) < 1.0))
+        if bad.size:
+            raise ConfigurationError(f"singular_1d kernel is defined on |x| < 1 only: "
+                                     f"point index {bad[0]}, x={x.reshape(-1, 1)[bad[0]]}")
         return _CLOSED_FORMS["cubic1d", 1.0](x)
 
     kernel = RankOneKernel(p, xi_grad=lambda x: (1.0 - x * x) ** -1.5)

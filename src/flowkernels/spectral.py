@@ -69,8 +69,8 @@ def mercer_decompose(kernel, grid=None, weights=None) -> MercerDecomposition:
             raise ConfigurationError("precomputed Gram matrix must be square")
     n = K.shape[0]
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float).ravel()
-    if w.shape != (n,) or np.any(w <= 0):
-        raise ConfigurationError("weights must be positive and match the grid size")
+    if w.shape != (n,) or not np.all((0 < w) & (w < np.inf)):
+        raise ConfigurationError("weights must be positive, finite and match the grid size")
 
     sw = np.sqrt(w)
     K *= sw[:, None]
@@ -78,7 +78,8 @@ def mercer_decompose(kernel, grid=None, weights=None) -> MercerDecomposition:
     K += K.T
     K *= 0.5
     mu, V = np.linalg.eigh(K)
-    mu, V = mu[::-1].copy(), V[:, ::-1].copy()
+    del K
+    mu = mu[::-1].copy()
 
     top = mu[0] if n else 0.0
     indefinite = False
@@ -93,7 +94,7 @@ def mercer_decompose(kernel, grid=None, weights=None) -> MercerDecomposition:
                 stacklevel=2,
             )
         mu = np.where((mu < 0) & (mu >= -1e-8 * top), 0.0, mu)
-    modes = V / sw[:, None]
+    modes = V[:, ::-1] / sw[:, None]
     return MercerDecomposition(eigenvalues=mu, modes=modes, weights=w, indefinite=indefinite)
 
 
@@ -140,28 +141,20 @@ def koopman_mode_check(eigenfunction_values, weights=None) -> ModeCheckReport:
     if m > len(w):
         raise ConfigurationError("more eigenfunctions than grid points")
 
-    if m == 0:
-        K = np.zeros((len(w), len(w)))
-        dec = mercer_decompose(K, weights=w)
-        return ModeCheckReport(
-            m=0, eigenvalues=dec.eigenvalues,
-            spectrum_deviation=float(np.max(np.abs(dec.eigenvalues))),
-            subspace_angle=0.0,
-        )
-
     phi = _orthonormalize_weighted(vals, w)
     K = phi.T @ phi
     dec = mercer_decompose(K, weights=w)
     mu = dec.eigenvalues
-    dev = max(float(np.max(np.abs(mu[:m] - 1.0))), float(np.max(np.abs(mu[m:]))) if m < len(mu) else 0.0)
+    dev = max(float(np.max(np.abs(mu[:m] - 1.0), initial=0.0)),
+              float(np.max(np.abs(mu[m:]), initial=0.0)))
 
     # largest principal angle between the Mercer top-m modes and the input
     # span, via the projection residual (arcsin form stays accurate near 0,
     # where arccos of an overlap singular value loses half the digits)
     psi = dec.modes[:, :m]
     resid = psi - phi.T @ (phi @ (w[:, None] * psi))
-    s2 = np.linalg.eigvalsh(resid.T @ (w[:, None] * resid)).max()
-    angle = float(np.arcsin(np.sqrt(min(max(s2, 0.0), 1.0))))
+    s2 = np.linalg.eigvalsh(resid.T @ (w[:, None] * resid)).max(initial=0.0)
+    angle = float(np.arcsin(np.sqrt(min(s2, 1.0))))
     return ModeCheckReport(m=m, eigenvalues=mu, spectrum_deviation=dev, subspace_angle=angle)
 
 

@@ -47,6 +47,10 @@ class TestGreenFunction:
             AdvectionProblem(c=1.0, lam=0.0)
         with pytest.raises(ConfigurationError):
             AdvectionProblem(c=1.0, lam=1.0, a=2.0, b=-2.0)
+        with pytest.raises(ConfigurationError, match="speed"):
+            AdvectionProblem(c=np.nan, lam=1.0)
+        with pytest.raises(ConfigurationError, match="decay rate"):
+            AdvectionProblem(c=1.0, lam=np.inf)
 
 
 class TestResolventKernel:
@@ -109,6 +113,11 @@ class TestSymmetrizedKernel:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ConfigurationError):
             QuadratureRule(a=-30.0, b=30.0, n=1)
+
+    @pytest.mark.parametrize("a, b", [(-np.inf, 30.0), (-30.0, np.nan)], ids=["a_inf", "b_nan"])
+    def test_non_finite_interval_rejected(self, a, b):
+        with pytest.raises(ConfigurationError, match="finite a < b"):
+            QuadratureRule(a=a, b=b)
 
 
 class TestSymmetrizedResolvent:

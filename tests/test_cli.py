@@ -279,21 +279,58 @@ _CONFIG_CASES = {
     "mercer_kernel_invalid_on_grid": (
         _edit(_edit(_edit(MERCER_INI, "family = gaussian\ngamma = 1", "family = singular_1d"),
                     "-1:1, -1:1", "-1:1"), "counts = 9, 9", "counts = 9"), "mercer", 2),
+    "singular_1d_at_interval_ends": (_edit(preset("cubic1d_singular").to_string(),
+                                           "bounds = -0.99:0.99", "bounds = -1:1"), "solve", 2),
 }
 
+# what the error reason must name, beyond its category
+_CONFIG_REASONS = {"singular_1d_at_interval_ends": "point index 0"}
 
-@pytest.mark.parametrize("text, command, code", list(_CONFIG_CASES.values()),
-                         ids=list(_CONFIG_CASES))
-def test_config_cases(text, command, code, tmp_path, capsys):
+
+@pytest.mark.parametrize("case", list(_CONFIG_CASES))
+def test_config_cases(case, tmp_path, capsys):
+    text, command, code = _CONFIG_CASES[case]
     out = tmp_path / "out"
     path = write_config(tmp_path, text)
     assert main([command, "--config", path, "--out", str(out)]) == code
     if code == 2:
-        assert "category=config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "category=config" in err and _CONFIG_REASONS.get(case, "") in err
         assert not out.exists()
     else:
         name = ExperimentConfig.from_string(text).name
         assert (out / f"{name}_config.ini").exists()
+
+
+def _non_finite_cases():
+    """Every key of every preset outside [experiment] whose value is a
+    number, set in turn to nan, inf and -inf."""
+    cases = []
+    for name in preset_names():
+        for section, entries in preset(name).sections.items():
+            if section == "experiment":
+                continue
+            for key, value in entries.items():
+                try:
+                    float(value)
+                except ValueError:
+                    continue
+                cases += [pytest.param(name, section, key, bad,
+                                       id=f"{name}-{section}.{key}={bad}")
+                          for bad in ("nan", "inf", "-inf")]
+    return cases
+
+
+@pytest.mark.parametrize("name, section, key, bad", _non_finite_cases())
+def test_non_finite_config_number_is_2(name, section, key, bad, tmp_path, capsys):
+    cfg = preset(name)
+    sections = {s: dict(entries) for s, entries in cfg.sections.items()}
+    sections[section][key] = bad
+    out = tmp_path / "out"
+    path = write_config(tmp_path, ExperimentConfig(sections=sections).to_string())
+    assert main([cfg.command, "--config", path, "--out", str(out)]) == 2
+    assert "category=config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("family", sorted(kernels._FAMILIES))

@@ -144,6 +144,8 @@ def test_eigenpair_lookup(duffing):
 
     with pytest.raises(UnknownEigenvalueError):
         lin.eigenpair(0.5)
+    with pytest.raises(UnknownEigenvalueError):
+        lin.eigenpair(np.nan)
 
 
 # ----------------------------------------------------------------------------

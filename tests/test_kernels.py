@@ -71,6 +71,8 @@ def test_singular_kernel_values_and_domain():
     assert g[0] == pytest.approx(0.5773502691896258, abs=1e-15)
     with pytest.raises(ConfigurationError):
         k.eval(np.array([1.0]), np.array([0.5]))
+    with pytest.raises(ConfigurationError, match=r"point index 2, x=\[nan\]"):
+        k.pairwise(np.array([[0.5], [-0.5], [np.nan], [1.0]]))
     with pytest.raises(ConfigurationError, match="1-D points"):
         k.pairwise(np.zeros((3, 2)))
 
@@ -83,6 +85,19 @@ def test_gaussian_lengthscale_conversion():
         kn.GaussianKernel(gamma=1.0, ell=0.3)
     with pytest.raises(ConfigurationError):
         kn.GaussianKernel()
+
+
+@pytest.mark.parametrize("cls, params", [
+    (kn.GaussianKernel, {"gamma": np.nan}),
+    (kn.GaussianKernel, {"ell": np.inf}),
+    (kn.TriangularKernel, {"sigma": np.nan}),
+    (kn.PolynomialKernel, {"coef0": np.nan}),
+    (kn.SigmoidKernel, {"coef0": np.nan}),
+], ids=["gaussian_gamma", "gaussian_ell", "triangular_sigma", "polynomial_coef0",
+        "sigmoid_coef0"])
+def test_non_finite_hyperparameters_rejected(cls, params):
+    with pytest.raises(ConfigurationError, match=next(iter(params))):
+        cls(**params)
 
 
 def test_cauchy_matches_inverse_quadratic_at_unit_scale():
@@ -348,6 +363,8 @@ def test_mixture_weight_validation():
         kn.KernelMixture(ks, [-0.1, 1.1])
     with pytest.raises(ConfigurationError):
         kn.KernelMixture(ks, [1.0])
+    with pytest.raises(ConfigurationError):
+        kn.KernelMixture(ks, [np.nan, np.nan])
 
 
 def test_single_component_mixture_is_identity():

@@ -122,6 +122,8 @@ def test_mode_selection_rejects_unknown_rate(duffing):
     with pytest.raises(UnknownEigenvalueError):
         # matching is deliberately strict: five digits are not enough
         pi.XiEvaluator(s, lin, 0.78078, T=1.0, M=10)
+    with pytest.raises(UnknownEigenvalueError):
+        pi.XiEvaluator(s, lin, np.nan, T=1.0, M=10)
     zero = dyn.make_system("linear_test(0.0, -2.0)")
     with pytest.raises(ConfigurationError, match="nonzero"):
         pi.XiEvaluator(zero, dyn.linearize(zero), 0.0, T=1.0, M=10)

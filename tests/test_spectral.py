@@ -1,5 +1,6 @@
 """Weighted Mercer decomposition, finite-rank spectra, trajectory integrals."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -81,7 +82,22 @@ class TestMercerDecompose:
         with pytest.raises(ConfigurationError):
             mercer_decompose(np.eye(4), weights=np.array([1.0, -1.0, 1.0, 1.0]))
         with pytest.raises(ConfigurationError):
+            mercer_decompose(np.eye(3), weights=[np.nan, 1.0, 1.0])
+        with pytest.raises(ConfigurationError):
             mercer_decompose(np.ones((3, 4)))
+
+    def test_peaks_at_about_two_matrices(self):
+        # the Gram matrix is freed once eigh returns, and the modes are scaled
+        # straight from the reversed eigenvectors, without a reordered copy
+        grid = tensor_grid([(-1, 1), (-1, 1)], 41)
+        n = len(grid)
+        tracemalloc.start()
+        try:
+            mercer_decompose(make_kernel("gaussian", gamma=1.0), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
 
 
 class TestKoopmanModeCheck:
