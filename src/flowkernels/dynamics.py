@@ -4,8 +4,7 @@ Every construction downstream (collocation matrices, path-integral
 coordinates, trajectory checks) consumes what is defined here: a
 ``SystemDef`` wrapping the right-hand side f, a ``LinearizationInfo``
 holding the equilibrium Jacobian with its real simple spectrum and left
-eigenvectors, and an RK4 flow map that returns the final states and hands
-each step's stages to an optional hook.
+eigenvectors, and an RK4 flow map that returns the final states.
 """
 
 from __future__ import annotations
@@ -99,8 +98,8 @@ class IntegratorConfig:
     M: int
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ConfigurationError(f"dt must be finite and positive, got {self.dt}")
         if self.M < 1:
             raise ConfigurationError(f"M must be >= 1, got {self.M}")
 
@@ -325,16 +324,12 @@ def nonlinear_part(sys: SystemDef, lin: LinearizationInfo, x: np.ndarray) -> np.
 
 
 def _rk4_step(f, x, dt):
-    """One RK4 step; also returns the four stage states and their slopes."""
+    """One RK4 step from x; returns the new state."""
     k1 = f(x)
-    y2 = x + 0.5 * dt * k1
-    k2 = f(y2)
-    y3 = x + 0.5 * dt * k2
-    k3 = f(y3)
-    y4 = x + dt * k3
-    k4 = f(y4)
-    x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x_new, (x, y2, y3, y4), (k1, k2, k3, k4)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def flow(
@@ -343,7 +338,7 @@ def flow(
     cfg: IntegratorConfig,
     direction: str | int = "forward",
     escape_radius: float = DEFAULT_ESCAPE_RADIUS,
-    on_step: Optional[Callable[[int, tuple, tuple], None]] = None,
+    on_step: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> np.ndarray:
     """Integrate x' = f(x) with fixed-step RK4 from one state or a batch
     and return the final state(s), shaped like ``x0``.
@@ -353,10 +348,9 @@ def flow(
     exceeds ``escape_radius`` the integration aborts with a
     ``FlowEscapeError`` carrying the first escape time.
 
-    ``on_step(k, ys, ks)``, when given, is called after step k (0-based)
-    with the four RK4 stage states ``ys`` and their slopes ``ks = f(ys)``,
-    so quadratures along the flow can reuse the field evaluations; the
-    step's initial state is ``ys[0]``.  No other states are kept.
+    ``on_step(k, x)``, when given, is called after step k (0-based) with
+    the state ``x`` it reached, at time (k + 1) dt.  No other states are
+    kept.
     """
     d = {"forward": 1, "backward": -1, 1: 1, -1: -1}.get(direction)
     if d is None:
@@ -368,11 +362,11 @@ def flow(
         )
     dt = d * cfg.dt
     for k in range(cfg.M):
-        x, ys, ks = _rk4_step(sys.f, x, dt)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > escape_radius:
+        x = _rk4_step(sys.f, x, dt)
+        if not np.max(np.abs(x), initial=0.0) <= escape_radius:
             raise FlowEscapeError(escape_time=(k + 1) * cfg.dt, radius=escape_radius)
         if on_step is not None:
-            on_step(k, ys, ks)
+            on_step(k, x)
     return x
 
 

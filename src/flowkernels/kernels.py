@@ -306,7 +306,7 @@ class PolynomialKernel(DotProductKernel):
     family = "polynomial"
 
     def __init__(self, degree: int = 2, coef0: float = 1.0):
-        if int(degree) != degree or degree < 1:
+        if not 1 <= degree < np.inf or int(degree) != degree:
             raise ConfigurationError(f"degree must be a positive integer, got {degree}")
         if not 0 <= coef0 < np.inf:
             raise ConfigurationError(f"coef0 must be nonnegative and finite, got {coef0}")

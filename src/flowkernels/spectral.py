@@ -195,17 +195,18 @@ def trajectory_eigenrelation_check(
         )
     P = np.atleast_2d(np.asarray(probes, dtype=float))
     dt = T / M
-    # half-step flow so the states at odd step counts land on midpoint times
+    # half-step flow: the state reached after each even step k sits at the
+    # midpoint time (k + 1) dt / 2
     cfg = IntegratorConfig(dt=0.5 * dt, M=2 * M)
-    odd = []
+    mids = []
     try:
         flow(system, P, cfg, direction="backward",
-             on_step=lambda k, ys, ks: odd.append(ys[0]) if k % 2 else None)
+             on_step=lambda k, x: None if k % 2 else mids.append(x))
     except FlowEscapeError as exc:
         raise NumericalError(
             f"inconclusive: backward flow escaped at t={exc.escape_time:.3g}"
         ) from exc
-    mids = np.stack(odd)                          # (M, P, dim)
+    mids = np.stack(mids)                         # (M, P, dim)
     tmid = (np.arange(M) + 0.5) * dt
     vals = phi(mids.reshape(-1, P.shape[1])).reshape(M, -1)
     integral = dt * np.einsum("t,tp->p", np.exp(-lam * tmid), vals)

@@ -188,9 +188,15 @@ def test_nonlinear_part_of_linear_system_vanishes():
 
 def _flow_states(system, x0, cfg):
     """Every state of a flow, (M+1, ...), collected through its step hook."""
-    states = []
-    end = dyn.flow(system, x0, cfg, on_step=lambda k, ys, ks: states.append(ys[0]))
-    return np.stack(states + [end])
+    states = [np.asarray(x0, dtype=float)]
+    dyn.flow(system, x0, cfg, on_step=lambda k, x: states.append(x))
+    return np.stack(states)
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan])
+def test_integrator_rejects_non_finite_step(dt):
+    with pytest.raises(ConfigurationError, match="dt"):
+        dyn.IntegratorConfig(dt=dt, M=3)
 
 
 def test_flow_fixed_point(duffing):

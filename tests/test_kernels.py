@@ -92,9 +92,11 @@ def test_gaussian_lengthscale_conversion():
     (kn.GaussianKernel, {"ell": np.inf}),
     (kn.TriangularKernel, {"sigma": np.nan}),
     (kn.PolynomialKernel, {"coef0": np.nan}),
+    (kn.PolynomialKernel, {"degree": np.nan}),
+    (kn.PolynomialKernel, {"degree": np.inf}),
     (kn.SigmoidKernel, {"coef0": np.nan}),
 ], ids=["gaussian_gamma", "gaussian_ell", "triangular_sigma", "polynomial_coef0",
-        "sigmoid_coef0"])
+        "polynomial_degree_nan", "polynomial_degree_inf", "sigmoid_coef0"])
 def test_non_finite_hyperparameters_rejected(cls, params):
     with pytest.raises(ConfigurationError, match=next(iter(params))):
         cls(**params)

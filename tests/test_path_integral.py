@@ -1,4 +1,4 @@
-"""Characteristic coordinates: quadrature accuracy, residuals, rank-one kernel."""
+"""Characteristic coordinates: endpoint accuracy, residuals, rank-one kernel."""
 
 import numpy as np
 import pytest
@@ -58,30 +58,26 @@ def test_poly2d_fast_mode_matches_closed_form(poly):
     assert pi.xi_values(ev, x) == pytest.approx(v(x), abs=1e-4)
 
 
-def test_quadrature_agrees_with_rescaled_endpoint(poly, duffing):
-    # the weighted sum telescopes: it must reproduce e^{-lam d T} w^T s_dT(x)
-    # for the endpoint of its own RK4 trajectory, up to the error of the
-    # fourth-order rule on the stages of that trajectory
-    for (s, lin), lam, x in [
-        (poly, 3.0, np.array([0.4, 0.3])),
-        (duffing, None, np.array([0.7, -0.4])),
-    ]:
-        if lam is None:
-            lam = lin.eigenvalues[0]
-        errs = []
-        for M in (500, 2000, 8000):
-            ev = pi.XiEvaluator(s, lin, lam, T=2.0, M=M)
-            end = dyn.flow(s, x, ev.plan, ev.direction)
-            endpoint = np.exp(-ev.lam * ev.direction * ev.T) * (end @ ev.w)
-            errs.append(abs(pi.xi_values(ev, x) - endpoint))
-        err_coarse = errs[1]
-        assert err_coarse <= 2e-5
-        if s.name == "poly2d":
-            # quartering the step cuts a fourth-order error ~256x
-            assert errs[0] / errs[1] >= 128.0 and errs[1] / errs[2] >= 128.0
-        else:
-            # duffing reaches round-off from M=2000 on
-            assert max(errs[1:]) <= 1e-14
+def test_xi_converges_at_fourth_order_to_closed_form(poly):
+    # on poly2d's fast mode xi_T = v + u^2 e^{-5T} exactly, so what is left is
+    # the flow's error: quartering the step cuts a fourth-order error ~256x
+    s, lin = poly
+    x = np.array([0.4, 0.3])
+    u = x[0] - x[1] ** 2
+    exact = dyn.poly2d_reference_eigenfunctions()[3.0](x) + u * u * np.exp(-5.0 * 2.0)
+    errs = [abs(pi.xi_values(pi.XiEvaluator(s, lin, 3.0, T=2.0, M=M), x) - exact)
+            for M in (500, 2000, 8000)]
+    assert errs[0] / errs[1] >= 128.0 and errs[1] / errs[2] >= 128.0
+
+
+def test_empty_batch_gives_empty_arrays(poly):
+    s, lin = poly
+    ev = pi.XiEvaluator(s, lin, 3.0, T=1.0, M=10)
+    X = np.empty((0, 2))
+    assert dyn.flow(s, X, ev.plan).shape == (0, 2)
+    assert pi.xi_values(ev, X).shape == (0,)
+    xi, res = pi.residual_values(ev, X)
+    assert xi.shape == res.shape == (0,)
 
 
 def test_batch_matches_pointwise(duffing):
