@@ -2,12 +2,12 @@
 
 For the operator c d/dx + lam on an interval, both the causal Green's
 function and the Laplace-transform (resolvent) kernel have closed forms
-along the straight characteristics x + c t.  Symmetrizing either one
-(integrating the product of two copies over the domain) yields a positive
-kernel, and for unit speed both symmetrizations collapse (up to one
-positive scalar) onto the exponential kernel e^{-lam |x-y|} / (2 lam).
-This module computes all three and reports how far apart they land
-numerically.
+along the straight characteristics x + c t, c > 0.  Symmetrizing either
+one (integrating the product of two copies over the domain) yields a
+positive kernel.  On a long enough domain the Green's-function one is the
+exponential kernel (c / (2 lam)) e^{-lam |x-y| / c}, and the resolvent one
+is the same kernel divided by c^2.  This module computes all three and
+reports how far apart they land numerically.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class AdvectionProblem:
     b: float = 30.0
 
     def __post_init__(self):
-        if not 0 < abs(self.c) < np.inf:
-            raise ConfigurationError(f"advection speed c must be finite and nonzero, got {self.c}")
+        if not 0 < self.c < np.inf:
+            raise ConfigurationError(f"advection speed c must be finite and positive, got {self.c}")
         if not 0 < self.lam < np.inf:
             raise ConfigurationError(f"decay rate lam must be finite and positive, got {self.lam}")
         if not (self.a < self.b):
@@ -104,59 +104,56 @@ def green_advection(p: AdvectionProblem, x, xi):
     return np.where(d >= 0, np.exp(-(p.lam / p.c) * d), 0.0)
 
 
-def resolvent_kernel_advection(p: AdvectionProblem, x, y, alpha: float):
-    """Resolvent kernel along straight characteristics.
+def resolvent_kernel_advection(p: AdvectionProblem, x, y):
+    """Resolvent kernel at rate lam along straight characteristics.
 
     The defining time integral collapses onto the single travel time
-    t = (y - x)/c, leaving (1/|c|) e^{-alpha (y-x)/c} on the causal side
+    t = (y - x)/c, leaving (1/c) e^{-lam (y-x)/c} on the causal side
     (t >= 0) and zero behind.
     """
-    if not (alpha > 0):
-        raise ConfigurationError(f"resolvent rate alpha must be positive, got {alpha}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     t = (y - x) / p.c
-    return np.where(t >= 0, np.exp(-alpha * t) / abs(p.c), 0.0)
+    return np.where(t >= 0, np.exp(-p.lam * t) / p.c, 0.0)
 
 
 def analytic_exponential_kernel(p: AdvectionProblem, x, y):
-    """Closed form e^{-lam |x-y|} / (2 lam) the symmetrizations converge to
-    (unit speed, domain long enough)."""
+    """Closed form (c / (2 lam)) e^{-lam |x-y| / c} the Green's-function
+    symmetrization converges to (domain long enough)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return np.exp(-p.lam * np.abs(x - y)) / (2.0 * p.lam)
+    return p.c * np.exp(-p.lam * np.abs(x - y) / p.c) / (2.0 * p.lam)
+
+
+def _symmetrized_rows(p, q, k, x, ys, lo, hi) -> np.ndarray:
+    """Integral of k(x, xi) k(y, xi) over the shared support [lo, hi] for
+    every y in ys.  Integrating exactly over the support (clipped to domain
+    and rule) keeps the trapezoid error at its smooth-integrand order.  All
+    pairs share one node set and each is its own 1-D dot, so a pair gets
+    the same bits as when integrated alone."""
+    ys = np.asarray(ys, dtype=float)
+    if not (np.isfinite(x) and np.all(np.isfinite(ys))):
+        raise ConfigurationError(f"kernel arguments must be finite, got x={x}, y={ys}")
+    nodes, wts = q.nodes_weights(max(lo, p.a, q.a), min(hi, p.b, q.b))
+    rows = k(p, x, nodes) * k(p, ys[:, None], nodes)
+    return np.array([row @ wts for row in rows])
 
 
 def symmetrized_kernel(p: AdvectionProblem, x: float, y: float, q: QuadratureRule) -> float:
-    """K(x,y) = integral of G(x, xi) G(y, xi) over the domain.
-
-    The integrand lives on xi <= min(x, y); integrating exactly over that
-    support (instead of sweeping dead nodes across the causality kink)
-    keeps the trapezoid error at its smooth-integrand order.
-    """
-    hi = min(x, y)
-    nodes, wts = q.nodes_weights(max(p.a, q.a), min(hi, p.b, q.b))
-    if nodes.size == 0:
-        return 0.0
-    vals = green_advection(p, x, nodes) * green_advection(p, y, nodes)
-    return float(vals @ wts)
+    """K(x,y) = integral of G(x, xi) G(y, xi) over xi <= min(x, y)."""
+    return float(_symmetrized_rows(p, q, green_advection, x, [y], -np.inf, min(x, y))[0])
 
 
 def symmetrized_resolvent(p: AdvectionProblem, x: float, y: float, q: QuadratureRule) -> float:
-    """Same symmetrization applied to the resolvent kernel at rate lam
-    (support xi >= max(x, y))."""
-    lo = max(x, y)
-    nodes, wts = q.nodes_weights(max(lo, p.a, q.a), min(p.b, q.b))
-    if nodes.size == 0:
-        return 0.0
-    vals = (resolvent_kernel_advection(p, x, nodes, p.lam)
-            * resolvent_kernel_advection(p, y, nodes, p.lam))
-    return float(vals @ wts)
+    """The same symmetrization of the resolvent kernel, over xi >= max(x, y)."""
+    return float(_symmetrized_rows(p, q, resolvent_kernel_advection, x, [y], max(x, y), np.inf)[0])
 
 
 @dataclass(frozen=True)
 class UnificationReport:
-    """Pointwise values of the three kernels plus their disagreement."""
+    """Pointwise values of the three kernels plus their disagreement.
+    ``scalar`` (c^2 analytically) is the least-squares factor taking the
+    resolvent symmetrization onto the closed form."""
 
     x: np.ndarray
     y: np.ndarray
@@ -176,7 +173,7 @@ class UnificationReport:
         on_diag = self.x == self.y
         if not np.any(on_diag):
             return 0.0
-        lamk = self.K_analytic[on_diag]  # analytic diagonal equals 1/(2 lam)
+        lamk = self.K_analytic[on_diag]  # analytic diagonal equals c/(2 lam)
         return float(np.max(np.abs(self.K_green[on_diag] - lamk) / lamk))
 
 
@@ -184,15 +181,20 @@ def unification_check(p: AdvectionProblem, grid, q: QuadratureRule) -> Unificati
     """Evaluate all three kernel constructions on grid x grid and compare.
 
     The resolvent symmetrization matches the other two only up to a positive
-    scalar (1/c^2 analytically), so a least-squares scalar is fitted and
-    reported rather than assumed.
+    scalar (c^2 analytically), so a least-squares scalar is fitted and
+    reported rather than assumed.  A grid point x bounds the support of its
+    Green pairs with y >= x and of its resolvent pairs with y <= x, so one
+    node set per point and kernel fills both triangles.
     """
     g = np.asarray(grid, dtype=float).ravel()
+    Kg, Kr = np.empty((g.size, g.size)), np.empty((g.size, g.size))
+    for i, x in enumerate(g):
+        up, down = g >= x, g <= x
+        Kg[i, up] = Kg[up, i] = _symmetrized_rows(p, q, green_advection, x, g[up], -np.inf, x)
+        Kr[i, down] = Kr[down, i] = _symmetrized_rows(
+            p, q, resolvent_kernel_advection, x, g[down], x, np.inf)
     X, Y = np.meshgrid(g, g, indexing="ij")
-    xs, ys = X.ravel(), Y.ravel()
-
-    Kg = np.array([symmetrized_kernel(p, xi, yi, q) for xi, yi in zip(xs, ys)])
-    Kr = np.array([symmetrized_resolvent(p, xi, yi, q) for xi, yi in zip(xs, ys)])
+    xs, ys, Kg, Kr = X.ravel(), Y.ravel(), Kg.ravel(), Kr.ravel()
     Ka = analytic_exponential_kernel(p, xs, ys)
 
     denom = float(Kr @ Kr)

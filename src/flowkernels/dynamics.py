@@ -197,21 +197,6 @@ def _duffing(delta: float = 0.5, beta: float = -1.0, alpha: float = 1.0) -> Syst
     )
 
 
-def _advection1d(c: float = 1.0) -> SystemDef:
-    """Characteristic field of constant-speed transport: x' = c.
-
-    Has no equilibrium, so it cannot be linearized; it exists to drive the
-    transport/Green construction on an interval.
-    """
-    if c == 0:
-        raise ConfigurationError("advection speed c must be nonzero")
-
-    def f(x):
-        return np.full_like(np.asarray(x, dtype=float), c)
-
-    return SystemDef("advection1d", 1, f, None, equilibrium=None, params={"c": c})
-
-
 def _linear_test(a: float = -1.0, b: float = -2.0) -> SystemDef:
     """Diagonal linear system x' = diag(a, b) x; nonlinear part is zero."""
 
@@ -230,7 +215,6 @@ _BUILDERS: dict[str, Callable[..., SystemDef]] = {
     "cubic1d": _cubic1d,
     "poly2d": _poly2d,
     "duffing": _duffing,
-    "advection1d": _advection1d,
     "linear_test": _linear_test,
 }
 
@@ -243,7 +227,7 @@ def builtin_system_names() -> list[str]:
 
 def make_system(name: str) -> SystemDef:
     """Build a system from a registry name like ``"duffing"`` or
-    ``"advection1d(2.0)"``, whose parenthesized args go to the builder."""
+    ``"linear_test(1, -2)"``, whose parenthesized args go to the builder."""
     m = _NAME_RE.match(name)
     if not m:
         raise ConfigurationError(f"cannot parse system name {name!r}")

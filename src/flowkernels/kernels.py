@@ -84,8 +84,13 @@ def _fill_rows(block, n, m, parts=1):
     rows = max(1, _BLOCK_ENTRIES // max(m, 1))
     for start in range(0, n, rows):
         s = slice(start, start + rows)
-        for matrix, rows_s in zip(out, block(s)):
-            matrix[s] = rows_s
+        # `held` keeps the previous block's last part alive on purpose: with
+        # nothing held glibc trims the heap top, which each block faults in
+        # again (exponential directional_pairwise, N=3721, warm: 0.22 s and
+        # 1.2k minor faults; 0.42 s and 188k unheld; 0.41 s and 94k holding
+        # every part).
+        for matrix, held in zip(out, block(s)):
+            matrix[s] = held
     return out
 
 

@@ -52,7 +52,9 @@ __all__ = [
 
 def default_kernel_bank() -> list:
     """The standing 11-kernel bank: 6 stationary/dot-product families plus
-    polynomial degrees 2 through 6."""
+    polynomial degrees 2 through 6.  ``cauchy(gamma=1)`` and
+    ``inverse_quadratic(gamma=1)`` are the same kernel, so only the sum of
+    their two weights is identifiable."""
     bank = [
         GaussianKernel(gamma=1.0),
         ExponentialKernel(gamma=1.0),

@@ -56,25 +56,18 @@ class TestGreenFunction:
 class TestResolventKernel:
     def test_unit_travel_time(self):
         p = unit_problem()
-        assert resolvent_kernel_advection(p, 0.0, 1.0, alpha=1.0) == pytest.approx(
+        assert resolvent_kernel_advection(p, 0.0, 1.0) == pytest.approx(
             np.exp(-1.0), rel=1e-14
         )
 
     def test_speed_two_prefactor(self):
         p = AdvectionProblem(c=2.0, lam=1.0)
-        got = resolvent_kernel_advection(p, 0.0, 4.0, alpha=1.0)
+        got = resolvent_kernel_advection(p, 0.0, 4.0)
         assert got == pytest.approx(0.5 * np.exp(-2.0), rel=1e-14)
 
     def test_behind_characteristic_zero(self):
         p = unit_problem()
-        assert resolvent_kernel_advection(p, 1.0, 0.0, alpha=1.0) == 0.0
-
-    def test_alpha_must_be_positive(self):
-        p = unit_problem()
-        with pytest.raises(ConfigurationError):
-            resolvent_kernel_advection(p, 0.0, 1.0, alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            resolvent_kernel_advection(p, 0.0, 1.0, alpha=-2.0)
+        assert resolvent_kernel_advection(p, 1.0, 0.0) == 0.0
 
 
 class TestSymmetrizedKernel:
@@ -181,3 +174,34 @@ class TestUnificationCheck:
     def test_analytic_diagonal(self):
         p = AdvectionProblem(c=1.0, lam=2.5)
         assert analytic_exponential_kernel(p, 1.3, 1.3) == pytest.approx(0.2, rel=1e-14)
+
+    def test_rows_equal_single_pairs(self):
+        # unsorted, with a repeated point: each pair is the lone-pair value, bit for bit
+        p, q = unit_problem(), default_rule(n=801)
+        grid = np.array([1.5, -2.0, 0.25, 1.5, -0.7, 3.0])
+        rep = unification_check(p, grid, q)
+        for x, y, kg, kr in zip(rep.x, rep.y, rep.K_green, rep.K_resolvent_sym):
+            assert kg == symmetrized_kernel(p, x, y, q)
+            assert kr == symmetrized_resolvent(p, x, y, q)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_speed_other_than_one_agrees(self, c):
+        p, q = AdvectionProblem(c=c, lam=1.0), default_rule()
+        rep = unification_check(p, np.linspace(-5, 5, 20), q)
+        assert rep.max_rel_dev <= 1e-3
+        assert rep.scalar == pytest.approx(c * c, rel=1e-3)
+        assert rep.diag_dev <= 1e-3
+
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_non_positive_speed_rejected(self, c):
+        with pytest.raises(ConfigurationError, match="speed"):
+            AdvectionProblem(c=c, lam=1.0)
+
+    def test_non_finite_points_rejected(self):
+        p, q = unit_problem(), default_rule(n=801)
+        with pytest.raises(ConfigurationError, match="finite"):
+            unification_check(p, [0.0, np.nan, 1.0], q)
+        with pytest.raises(ConfigurationError, match="finite"):
+            symmetrized_kernel(p, 0.0, np.nan, q)
+        with pytest.raises(ConfigurationError, match="finite"):
+            symmetrized_resolvent(p, np.inf, 0.0, q)

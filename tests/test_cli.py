@@ -143,7 +143,7 @@ class TestExitCodes:
     def test_list_systems(self, capsys):
         assert main(["list-systems"]) == 0
         out = capsys.readouterr().out.split()
-        assert sorted(out) == ["advection1d", "cubic1d", "duffing", "linear_test", "poly2d"]
+        assert sorted(out) == ["cubic1d", "duffing", "linear_test", "poly2d"]
 
     def test_unknown_preset(self, tmp_path):
         assert main(["solve", "--preset", "no_such", "--out", str(tmp_path)]) == 2
@@ -405,6 +405,23 @@ class TestPresets:
         assert float(m["max_rel_dev"]) <= 1e-3
         assert float(m["diag_dev"]) <= 1e-3
         assert float(m["scalar"]) == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("c", ["0.5", "2"])
+    def test_unify_other_speed_agrees(self, c, tmp_path):
+        text = preset("unify_advection").to_string().replace("c = 1\n", f"c = {c}\n")
+        path = write_config(tmp_path, text)
+        assert main(["unify", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        m = read_metrics(tmp_path / "out" / "unify_advection_metrics.txt")
+        assert float(m["max_rel_dev"]) <= 1e-3
+        assert float(m["scalar"]) == pytest.approx(float(c) ** 2, rel=1e-3)
+
+    @pytest.mark.parametrize("c", ["0", "-1"])
+    def test_unify_non_positive_speed_is_2(self, c, tmp_path, capsys):
+        text = preset("unify_advection").to_string().replace("c = 1\n", f"c = {c}\n")
+        path = write_config(tmp_path, text)
+        assert main(["unify", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "category=config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # -- artifact schemas ---------------------------------------------------------

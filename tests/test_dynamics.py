@@ -64,14 +64,14 @@ def test_dimension_mismatch_rejected(poly):
 
 
 def test_system_name_parsing():
-    s = dyn.make_system("advection1d(2.5)")
-    assert s.params["c"] == 2.5
+    s = dyn.make_system("duffing(0.3, -1, 2.5)")
+    assert s.params == {"delta": 0.3, "beta": -1.0, "alpha": 2.5}
     s2 = dyn.make_system("linear_test(1, -2)")
     assert s2.params == {"a": 1.0, "b": -2.0}
     with pytest.raises(ConfigurationError):
         dyn.make_system("no_such_system")
     with pytest.raises(ConfigurationError):
-        dyn.make_system("advection1d(fast)")
+        dyn.make_system("duffing(fast)")
 
 
 # ----------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_repeated_spectrum_rejected():
 
 def test_advection_has_no_linearization():
     with pytest.raises(ConfigurationError):
-        dyn.linearize(dyn.make_system("advection1d(1)"))
+        dyn.linearize(dyn.SystemDef("transport", 1, np.ones_like, None, equilibrium=None))
 
 
 def test_equilibrium_without_jacobian_rejected(poly):
