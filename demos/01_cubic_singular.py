@@ -9,15 +9,13 @@ magnitude no matter how the scalar normalization is chosen.
 
 from flowkernels import CollocationProblem, PenaltyConfig, make_kernel, make_system, solve
 from flowkernels.dynamics import _CLOSED_FORMS
-from flowkernels.grids import boundary_sets, tensor_grid
+from flowkernels.grids import tensor_grid
 
 system = make_system("cubic1d")
 X = tensor_grid([(-0.99, 0.99)], [199])
 reference = _CLOSED_FORMS["cubic1d", 1.0]
 
-trace, layer = boundary_sets(X)
-penalties = PenaltyConfig(mu_trace=1e2, mu_layer=1e2,
-                          trace_points=trace, layer_points=layer)
+penalties = PenaltyConfig(boundary=True)   # trace and layer weights 1e2 on X's boundary points
 
 print(f"{'kernel':<14} {'residual':>12} {'rmse raw':>12} {'rmse rescaled':>14}")
 for name, kern in [

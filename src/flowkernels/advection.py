@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, count, positive
 
 __all__ = [
     "AdvectionProblem",
@@ -41,10 +41,8 @@ class AdvectionProblem:
     b: float = 30.0
 
     def __post_init__(self):
-        if not 0 < self.c < np.inf:
-            raise ConfigurationError(f"advection speed c must be finite and positive, got {self.c}")
-        if not 0 < self.lam < np.inf:
-            raise ConfigurationError(f"decay rate lam must be finite and positive, got {self.lam}")
+        object.__setattr__(self, "c", positive("advection speed c", self.c))
+        object.__setattr__(self, "lam", positive("decay rate lam", self.lam))
         if not (self.a < self.b):
             raise ConfigurationError(f"domain needs a < b, got [{self.a}, {self.b}]")
 
@@ -64,8 +62,7 @@ class QuadratureRule:
     scheme: str = "trapezoid"
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigurationError("quadrature rule needs at least 2 nodes")
+        object.__setattr__(self, "n", count("quadrature rule n", self.n, 2))
         if self.scheme not in ("trapezoid", "gauss_legendre"):
             raise ConfigurationError(f"unknown quadrature scheme {self.scheme!r}")
         if not -np.inf < self.a < self.b < np.inf:
@@ -76,7 +73,8 @@ class QuadratureRule:
         return (self.b - self.a) / (self.n - 1)
 
     def nodes_weights(self, lo: float, hi: float):
-        """Nodes and weights for [lo, hi] at this rule's density."""
+        """Nodes and weights for [lo, hi] clipped to [a, b], at this rule's density."""
+        lo, hi = max(lo, self.a), min(hi, self.b)
         if hi <= lo:
             return np.empty(0), np.empty(0)
         m = max(2, int(np.ceil((hi - lo) / self.spacing)) + 1)
@@ -134,7 +132,7 @@ def _symmetrized_rows(p, q, k, x, ys, lo, hi) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     if not (np.isfinite(x) and np.all(np.isfinite(ys))):
         raise ConfigurationError(f"kernel arguments must be finite, got x={x}, y={ys}")
-    nodes, wts = q.nodes_weights(max(lo, p.a, q.a), min(hi, p.b, q.b))
+    nodes, wts = q.nodes_weights(max(lo, p.a), min(hi, p.b))
     rows = k(p, x, nodes) * k(p, ys[:, None], nodes)
     return np.array([row @ wts for row in rows])
 

@@ -24,8 +24,8 @@ from .advection import AdvectionProblem, QuadratureRule, unification_check
 from .collocation import CollocationProblem, PenaltyConfig, solve
 from .config import COMMANDS, SCHEMA_VERSION, ExperimentConfig, preset, preset_names
 from .dynamics import _CLOSED_FORMS, builtin_system_names, linearize, make_system
-from .errors import ConfigurationError, FlowEscapeError, NumericalError
-from .grids import boundary_sets, tensor_grid
+from .errors import ConfigurationError, FlowEscapeError, NumericalError, count
+from .grids import tensor_grid
 from .kernels import make_kernel
 from .mkl import MKLConfig, kernel_label, mkl_solve, pruned_mixture, refit_pruned, sparsify
 from .path_integral import XiEvaluator, residual_values
@@ -124,18 +124,23 @@ def _grid_points(cfg: ExperimentConfig) -> np.ndarray:
     return tensor_grid(bounds, counts)
 
 
-def _penalties(cfg: ExperimentConfig, points: np.ndarray) -> PenaltyConfig:
-    eta = cfg.get_float("penalties", "eta", 1e-8)
-    mu_grad = cfg.get_float("penalties", "mu_grad", 1e4)
-    if not cfg.get_bool("penalties", "boundary", False):
-        return PenaltyConfig(eta=eta, mu_grad=mu_grad)
-    trace, layer = boundary_sets(points)
-    return PenaltyConfig(
-        eta=eta, mu_grad=mu_grad,
-        mu_trace=cfg.get_float("penalties", "mu_trace", 1e2),
-        mu_layer=cfg.get_float("penalties", "mu_layer", 1e2),
-        trace_points=trace, layer_points=layer,
-    )
+_PARSERS = {float: ExperimentConfig.get_float, int: ExperimentConfig.get_int,
+            bool: ExperimentConfig.get_bool, str: ExperimentConfig.get}
+
+
+def _settings(cfg: ExperimentConfig, section: str, cls, *names, **keys) -> dict:
+    """Keyword arguments for the dataclass cls from the keys [section] sets.
+    Each name is a field read under its own key; keys maps a field to the
+    key it is read under.  A value is parsed by the type of its field's
+    default, and a key the config does not set leaves that default to cls."""
+    keys.update(zip(names, names))
+    return {name: _PARSERS[type(getattr(cls, name))](cfg, section, key)
+            for name, key in keys.items() if cfg.has(section, key)}
+
+
+def _penalties(cfg: ExperimentConfig) -> PenaltyConfig:
+    return PenaltyConfig(**_settings(cfg, "penalties", PenaltyConfig,
+                                     "eta", "mu_grad", "mu_trace", "mu_layer", "boundary"))
 
 
 def _base_metrics(cfg: ExperimentConfig) -> Dict[str, object]:
@@ -184,7 +189,7 @@ def _run_solve(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     X = _grid_points(cfg)
     prob = CollocationProblem.for_eigenvalue(
         system, lam, _kernel_from_spec(cfg), X,
-        penalties=_penalties(cfg, X),
+        penalties=_penalties(cfg),
     )
     prob.kernel.eval(X, X)    # a kernel invalid on the grid fails before the archive
     _archive(cfg, outdir)
@@ -217,13 +222,8 @@ def _run_mkl(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     system = make_system(cfg.get("system", "name"))
     lam = _resolve_lam(cfg, linearize(system))
     X = _grid_points(cfg)
-    mcfg = MKLConfig(
-        eta=cfg.get_float("penalties", "eta", 1e-8),
-        mu_grad=cfg.get_float("penalties", "mu_grad", 1e4),
-        tau=cfg.get_float("mkl", "tau", 0.1),
-        max_iter=cfg.get_int("mkl", "max_iter", 200),
-        gtol=cfg.get_float("mkl", "gtol", 1e-6),
-    )
+    mcfg = MKLConfig(**_settings(cfg, "penalties", MKLConfig, "eta", "mu_grad"),
+                     **_settings(cfg, "mkl", MKLConfig, "tau", "max_iter", "gtol"))
     _archive(cfg, outdir)
     ref = _reference_for(system.name, lam)
     result = sparsify(mkl_solve(system, lam, X, mcfg, reference=ref))
@@ -336,19 +336,11 @@ def _run_mercer(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
 
 
 def _run_unify(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
-    c = cfg.get_float("unify", "c", 1.0)
-    lam = cfg.get_float("unify", "lam", 1.0)
-    rule_lo = cfg.get_float("unify", "rule_lo", -30.0)
-    rule_hi = cfg.get_float("unify", "rule_hi", 30.0)
-    problem = AdvectionProblem(c=c, lam=lam, a=rule_lo, b=rule_hi)
-    rule = QuadratureRule(
-        rule_lo, rule_hi,
-        n=cfg.get_int("unify", "rule_n", 4001),
-        scheme=cfg.get("unify", "scheme", "trapezoid"),
-    )
-    n = cfg.get_int("unify", "grid_n", 20)
-    if n < 1:
-        raise ConfigurationError(f"[unify] grid_n must be >= 1, got {n}")
+    problem = AdvectionProblem(**_settings(cfg, "unify", AdvectionProblem, "c", "lam",
+                                           a="rule_lo", b="rule_hi"))
+    rule = QuadratureRule(problem.a, problem.b,
+                          **_settings(cfg, "unify", QuadratureRule, "scheme", n="rule_n"))
+    n = count("[unify] grid_n", cfg.get_int("unify", "grid_n", 20), 1)
     grid = np.linspace(
         cfg.get_float("unify", "grid_lo", -5.0),
         cfg.get_float("unify", "grid_hi", 5.0),
@@ -365,7 +357,7 @@ def _run_unify(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     )
     metrics = _base_metrics(cfg)
     metrics.update(
-        c=c, lam=lam, grid_n=n, rule_n=rule.n, scheme=rule.scheme,
+        c=problem.c, lam=problem.lam, grid_n=n, rule_n=rule.n, scheme=rule.scheme,
         scalar=report.scalar,
         max_rel_dev=report.max_rel_dev,
         diag_dev=report.diag_dev,

@@ -34,6 +34,7 @@ import scipy.linalg
 
 from .dynamics import SystemDef, eval_field, linearize
 from .errors import ConfigurationError, NumericalError
+from .grids import boundary_sets
 from .kernels import Kernel
 
 __all__ = [
@@ -55,16 +56,17 @@ class PenaltyConfig:
     """Weights for the quadratic penalty terms.
 
     mu_grad must be positive: without the gradient anchor the zero
-    function minimizes everything.  Boundary terms are off unless their
-    weight is positive and the corresponding point set is supplied.
+    function minimizes everything.  With ``boundary`` on, phi is also
+    penalized on the problem's own ``grids.boundary_sets`` points: mu_trace
+    weighs its squared values on the outermost points and mu_layer their
+    mean square on the near-boundary band; a zero weight drops its term.
     """
 
     eta: float = 1e-8
     mu_grad: float = 1e4
-    mu_trace: float = 0.0
-    mu_layer: float = 0.0
-    trace_points: Optional[np.ndarray] = None
-    layer_points: Optional[np.ndarray] = None
+    mu_trace: float = 1e2
+    mu_layer: float = 1e2
+    boundary: bool = False
 
     def __post_init__(self):
         for name in ("eta", "mu_grad", "mu_trace", "mu_layer"):
@@ -73,10 +75,6 @@ class PenaltyConfig:
                 raise ConfigurationError(f"{name} must be finite and >= 0, got {v}")
         if not self.mu_grad > 0:
             raise ConfigurationError("mu_grad must be > 0 (excludes the zero solution)")
-        for name in ("trace_points", "layer_points"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, np.atleast_2d(np.asarray(v, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -149,12 +147,13 @@ def assemble(problem: CollocationProblem, centers=None) -> AssembledSystem:
     B, G0, K = kernel_blocks(kern, F, problem.lam, X, problem.anchor_point, C)
 
     pen = problem.penalties
+    trace, layer = boundary_sets(X) if pen.boundary else (X[:0], X[:0])
     T = np.empty((0, len(C)))
-    if pen.mu_trace > 0 and pen.trace_points is not None and len(pen.trace_points):
-        T = kern.pairwise(pen.trace_points, C)
+    if pen.mu_trace > 0 and len(trace):
+        T = kern.pairwise(trace, C)
     Y = np.empty((0, len(C)))
-    if pen.mu_layer > 0 and pen.layer_points is not None and len(pen.layer_points):
-        Y = kern.pairwise(pen.layer_points, C) / np.sqrt(len(pen.layer_points))
+    if pen.mu_layer > 0 and len(layer):
+        Y = kern.pairwise(layer, C) / np.sqrt(len(layer))
     return AssembledSystem(B=B, G0=G0, T=T, Y=Y, K=K)
 
 

@@ -22,6 +22,8 @@ from .errors import (
     NumericalError,
     UnknownEigenvalueError,
     UnsupportedSpectrumError,
+    count,
+    positive,
 )
 
 __all__ = [
@@ -98,10 +100,8 @@ class IntegratorConfig:
     M: int
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ConfigurationError(f"dt must be finite and positive, got {self.dt}")
-        if self.M < 1:
-            raise ConfigurationError(f"M must be >= 1, got {self.M}")
+        object.__setattr__(self, "dt", positive("dt", self.dt))
+        object.__setattr__(self, "M", count("M", self.M, 1))
 
     @property
     def T(self) -> float:
@@ -109,11 +109,13 @@ class IntegratorConfig:
 
     @classmethod
     def from_horizon(cls, T: float, M: int) -> "IntegratorConfig":
-        if not (0 < T < np.inf):
-            raise ConfigurationError(f"horizon T must be finite and positive, got {T}")
-        if M < 1:
-            raise ConfigurationError(f"M must be >= 1, got {M}")
-        return cls(dt=T / M, M=M)
+        return cls(dt=positive("horizon T", T) / count("M", M, 1), M=M)
+
+    def linear_growth(self, rate: float) -> float:
+        """R(rate dt)^M, the factor M ``_rk4_step`` calls multiply a solution of
+        x' = rate x by: R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+        z = rate * self.dt
+        return (1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0) ** self.M
 
 
 # ----------------------------------------------------------------------------
@@ -367,6 +369,8 @@ def characteristic_identity_residual(
     Zero (up to integrator error) exactly when phi pairs with rate lam
     along the flow; used as a cheap certificate for candidate observables.
     """
+    if not np.isfinite(t):
+        raise ConfigurationError(f"time t must be finite, got {t}")
     if t == 0:
         return 0.0
     M = max(1, int(round(abs(t) / cfg.dt)))

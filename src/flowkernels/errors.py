@@ -4,6 +4,9 @@ The CLI maps these onto process exit codes, so new error types should
 subclass one of the three mid-level categories below rather than the root.
 """
 
+import math
+import numbers
+
 
 class FlowKernelsError(Exception):
     """Root of everything raised deliberately by this package."""
@@ -49,3 +52,18 @@ class UnsupportedSpectrumError(ConfigurationError):
 
 class UnknownEigenvalueError(ConfigurationError):
     """Requested eigenvalue is not in the linearization spectrum."""
+
+
+def positive(name: str, value) -> float:
+    """value as a float; a ConfigurationError naming it unless 0 < value < inf."""
+    if not 0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
+def count(name: str, value, minimum: int) -> int:
+    """value as an int if integral (a bool is not) and >= minimum, else a ConfigurationError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value) or value < minimum):
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, count
 
 __all__ = ["tensor_grid", "boundary_sets"]
 
@@ -15,13 +15,11 @@ def tensor_grid(bounds, counts) -> np.ndarray:
     bounds: sequence of (lo, hi) per axis; counts: points per axis (>= 2).
     """
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-    counts = np.atleast_1d(np.asarray(counts, dtype=int))
-    if counts.size == 1 and bounds.shape[0] > 1:
-        counts = np.repeat(counts, bounds.shape[0])
-    if bounds.shape[0] != counts.size or bounds.shape[1] != 2:
+    counts = [count("grid count", n, 2) for n in np.ravel(np.asarray(counts, dtype=object))]
+    if len(counts) == 1:
+        counts *= bounds.shape[0]
+    if bounds.shape[0] != len(counts) or bounds.shape[1] != 2:
         raise ConfigurationError("bounds must be (dim, 2) and counts per-axis")
-    if np.any(counts < 2):
-        raise ConfigurationError("grid needs at least 2 points per axis")
     if not (np.all(np.isfinite(bounds)) and np.all(bounds[:, 0] < bounds[:, 1])):
         raise ConfigurationError(f"each axis needs finite lo < hi, got {bounds.tolist()}")
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, counts)]

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from .dynamics import _CLOSED_FORMS
-from .errors import ConfigurationError
+from .errors import ConfigurationError, count, positive
 
 __all__ = [
     "Kernel",
@@ -196,12 +196,6 @@ class DotProductKernel(_ProfileKernel):
         return value, lambda j: c * y[..., j]
 
 
-def _positive(name, value):
-    if not 0 < value < np.inf:
-        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
-    return float(value)
-
-
 class GaussianKernel(RadialKernel):
     """k(x,y) = exp(-gamma ||x-y||^2); accepts gamma directly or a
     length-scale ell with gamma = 1/(2 ell^2)."""
@@ -212,9 +206,9 @@ class GaussianKernel(RadialKernel):
         if (gamma is None) == (ell is None):
             raise ConfigurationError("gaussian kernel needs exactly one of gamma, ell")
         if ell is not None:
-            ell = _positive("ell", ell)
+            ell = positive("ell", ell)
             gamma = 1.0 / (2.0 * ell * ell)
-        super().__init__(gamma=_positive("gamma", gamma), ell=ell)
+        super().__init__(gamma=positive("gamma", gamma), ell=ell)
         self.gamma = float(gamma)
 
     def profile(self, r2):
@@ -230,7 +224,7 @@ class ExponentialKernel(RadialKernel):
     family = "exponential"
 
     def __init__(self, gamma: float = 1.0):
-        super().__init__(gamma=_positive("gamma", gamma))
+        super().__init__(gamma=positive("gamma", gamma))
         self.gamma = float(gamma)
 
     def profile(self, r2):
@@ -245,7 +239,7 @@ class CauchyKernel(RadialKernel):
     family = "cauchy"
 
     def __init__(self, gamma: float = 1.0):
-        super().__init__(gamma=_positive("gamma", gamma))
+        super().__init__(gamma=positive("gamma", gamma))
         self.gamma = float(gamma)
 
     def profile(self, r2):
@@ -259,7 +253,7 @@ class InverseQuadraticKernel(RadialKernel):
     family = "inverse_quadratic"
 
     def __init__(self, gamma: float = 1.0):
-        super().__init__(gamma=_positive("gamma", gamma))
+        super().__init__(gamma=positive("gamma", gamma))
         self.gamma = float(gamma)
 
     def profile(self, r2):
@@ -278,7 +272,7 @@ class TriangularKernel(RadialKernel):
     family = "triangular"
 
     def __init__(self, sigma: float = 1.0):
-        super().__init__(sigma=_positive("sigma", sigma))
+        super().__init__(sigma=positive("sigma", sigma))
         self.sigma = float(sigma)
 
     def profile(self, r2):
@@ -296,7 +290,7 @@ class SigmoidKernel(DotProductKernel):
     def __init__(self, gamma: float = 1.0, coef0: float = 0.0):
         if not np.isfinite(coef0):
             raise ConfigurationError(f"coef0 must be finite, got {coef0}")
-        super().__init__(gamma=_positive("gamma", gamma), coef0=float(coef0))
+        super().__init__(gamma=positive("gamma", gamma), coef0=float(coef0))
         self.gamma = float(gamma)
         self.coef0 = float(coef0)
 
@@ -311,8 +305,7 @@ class PolynomialKernel(DotProductKernel):
     family = "polynomial"
 
     def __init__(self, degree: int = 2, coef0: float = 1.0):
-        if not 1 <= degree < np.inf or int(degree) != degree:
-            raise ConfigurationError(f"degree must be a positive integer, got {degree}")
+        degree = count("degree", degree, 1)
         if not 0 <= coef0 < np.inf:
             raise ConfigurationError(f"coef0 must be nonnegative and finite, got {coef0}")
         if degree > 6:
@@ -320,8 +313,8 @@ class PolynomialKernel(DotProductKernel):
                 f"polynomial degree {degree} is outside the tested range 2..6",
                 stacklevel=2,
             )
-        super().__init__(degree=int(degree), coef0=float(coef0))
-        self.degree = int(degree)
+        super().__init__(degree=degree, coef0=float(coef0))
+        self.degree = degree
         self.coef0 = float(coef0)
 
     def profile(self, s):

@@ -23,7 +23,7 @@ from .collocation import (
     kernel_blocks, solve,
 )
 from .dynamics import SystemDef, eval_field, linearize
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, count
 from .kernels import (
     CauchyKernel,
     ExponentialKernel,
@@ -76,8 +76,8 @@ def kernel_label(k: Kernel) -> str:
 @dataclass(frozen=True)
 class MKLConfig:
     base_kernels: Sequence[Kernel] = field(default_factory=default_kernel_bank)
-    eta: float = 1e-8
-    mu_grad: float = 1e4
+    eta: float = PenaltyConfig.eta
+    mu_grad: float = PenaltyConfig.mu_grad
     tau: float = 0.1
     max_iter: int = 200
     gtol: float = 1e-6
@@ -89,8 +89,7 @@ class MKLConfig:
             raise ConfigurationError("need at least 2 base kernels")
         if not (0.0 <= self.tau < 1.0):
             raise ConfigurationError(f"threshold tau must be in [0, 1), got {self.tau}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 0:
-            raise ConfigurationError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter", count("max_iter", self.max_iter, 0))
         if not (0.0 <= self.gtol < np.inf):
             raise ConfigurationError(f"gtol must be finite and >= 0, got {self.gtol}")
 
@@ -223,8 +222,8 @@ def pruned_mixture(result: MKLResult) -> KernelMixture:
 
 
 def refit_pruned(system: SystemDef, lam: float, points, mixture: KernelMixture,
-                 reference: Optional[Callable] = None,
-                 eta: float = 1e-8, mu_grad: float = 1e4) -> Solution:
+                 reference: Optional[Callable] = None, eta: float = PenaltyConfig.eta,
+                 mu_grad: float = PenaltyConfig.mu_grad) -> Solution:
     """Plain collocation solve with a pruned mixture kernel."""
     if not len(mixture.components):
         raise NumericalError("degenerate pruned model: empty mixture")

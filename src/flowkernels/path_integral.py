@@ -13,11 +13,10 @@ The integrand times d is the exact derivative of
 exp(-|lam| tau) w^T (s_{d tau}(x) - x*), so the integral telescopes to the
 rescaled endpoint projection xi_T(x) = e^{-|lam| T} w^T (s_{dT}(x) - x*),
 computed here from one RK4 flow of x to its endpoint.  The factor
-e^{-|lam| T} is taken as R(|lam| dt)^{-M}, with R(z) = 1 + z + z^2/2 +
-z^3/6 + z^4/24 the RK4 stability polynomial: on a linear field each step
-multiplies w^T (x - x*) by exactly R(|lam| dt), so linear systems give
-xi_T = w^T (x - x*) to rounding, and the two factors differ only at the
-flow's own fourth order.
+e^{-|lam| T} is taken as 1 / ``plan.linear_growth(|lam|)``, the factor by
+which the flow's own steps multiply w^T (x - x*) on a linear field, so
+linear systems give xi_T = w^T (x - x*) to rounding, and the two factors
+differ only at the flow's own order.
 
 Its transport defect f . grad xi_T - lam xi_T is exactly the truncation
 term e^{-|lam| T} w^T fnl(s_{dT}(x)); the residual helpers below measure it
@@ -98,9 +97,7 @@ def xi_values(ev: XiEvaluator, X) -> np.ndarray:
     squeeze = X.ndim == 1
     pts = X[None, :] if squeeze else X.reshape(-1, X.shape[-1])
     end = flow(ev.system, pts, ev.plan, direction=ev.direction)
-    z = abs(ev.lam) * ev.plan.dt  # = lam * d * dt > 0 in either direction
-    growth = 1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
-    vals = ((end - ev.system.equilibrium) @ ev.w) / growth ** ev.plan.M
+    vals = ((end - ev.system.equilibrium) @ ev.w) / ev.plan.linear_growth(abs(ev.lam))
     out = vals.reshape(X.shape[:-1])
     return float(out) if squeeze else out
 

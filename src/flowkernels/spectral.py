@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import IntegratorConfig, SystemDef, flow
-from .errors import ConfigurationError, FlowEscapeError, NumericalError
+from .errors import ConfigurationError, FlowEscapeError, NumericalError, count
 from .kernels import Kernel
 
 __all__ = [
@@ -186,8 +186,9 @@ def trajectory_eigenrelation_check(
     """
     if not lam > 0:
         raise ConfigurationError(f"relation requires a positive rate, got {lam}")
-    if not (T > 0 and M >= 1):
-        raise ConfigurationError("need T > 0 and M >= 1")
+    M = count("M", M, 1)
+    if not T > 0:
+        raise ConfigurationError(f"need T > 0, got {T}")
     tail = np.exp(-2.0 * lam * T)
     if tail > max_tail:
         raise ConfigurationError(
@@ -218,5 +219,5 @@ def trajectory_eigenrelation_check(
     dev = np.abs(integral[included] * 2.0 * lam / phi0[included] - 1.0)
     return TrajectoryCheckReport(
         max_deviation=float(dev.max()), deviations=dev, included=included,
-        lam=float(lam), T=float(T), M=int(M),
+        lam=float(lam), T=float(T), M=M,
     )

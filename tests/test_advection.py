@@ -107,6 +107,17 @@ class TestSymmetrizedKernel:
         with pytest.raises(ConfigurationError):
             QuadratureRule(a=-30.0, b=30.0, n=1)
 
+    @pytest.mark.parametrize("scheme", ["trapezoid", "gauss_legendre"])
+    def test_nodes_clipped_to_the_rule(self, scheme):
+        q = QuadratureRule(a=-30.0, b=30.0, n=601, scheme=scheme)
+        for (lo, hi), clipped in [((0.0, np.inf), (0.0, 30.0)),
+                                  ((-np.inf, -2.5), (-30.0, -2.5)),
+                                  ((-np.inf, np.inf), (-30.0, 30.0)),
+                                  ((40.0, np.inf), (40.0, 30.0))]:
+            for got, want in zip(q.nodes_weights(lo, hi), q.nodes_weights(*clipped)):
+                assert np.array_equal(got, want)
+        assert q.nodes_weights(40.0, np.inf)[0].size == 0
+
     @pytest.mark.parametrize("a, b", [(-np.inf, 30.0), (-30.0, np.nan)], ids=["a_inf", "b_nan"])
     def test_non_finite_interval_rejected(self, a, b):
         with pytest.raises(ConfigurationError, match="finite a < b"):

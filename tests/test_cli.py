@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from flowkernels import kernels
+from flowkernels.advection import AdvectionProblem, QuadratureRule
 from flowkernels.cli import main
 from flowkernels.config import ExperimentConfig, preset, preset_names
+from flowkernels.mkl import MKLConfig
 
 
 def read_metrics(path):
@@ -424,6 +426,45 @@ class TestPresets:
         assert not (tmp_path / "out").exists()
 
 
+class TestLibraryDefaults:
+    """A key a config leaves out takes the default of the library class that
+    owns its section."""
+
+    def test_empty_sections_write_library_defaults(self, tmp_path):
+        mkl = preset("poly2d_mkl_l1").to_string()
+        mkl = _edit(mkl, "eta = 1e-8\nmu_grad = 1e4\n", "")
+        mkl = _edit(mkl, "tau = 0.1\nmax_iter = 200\ngtol = 1e-6\n", "")
+        mkl = _edit(mkl, "counts = 21, 21", "counts = 7, 7")
+        assert "[penalties]\n\n[mkl]\n\n" in mkl
+        unify = "[experiment]\nname = unify_defaults\ncommand = unify\n\n[unify]\n"
+        for cmd, text in (("mkl", mkl), ("unify", unify)):
+            path = write_config(tmp_path, text, name=f"{cmd}.ini")
+            assert main([cmd, "--config", path, "--out", str(tmp_path / "out")]) == 0
+        m = read_metrics(tmp_path / "out" / "poly2d_mkl_l1_metrics.txt")
+        assert float(m["tau"]) == MKLConfig.tau
+        m = read_metrics(tmp_path / "out" / "unify_defaults_metrics.txt")
+        assert int(m["rule_n"]) == QuadratureRule.n and m["scheme"] == QuadratureRule.scheme
+        assert float(m["c"]) == AdvectionProblem.c and float(m["lam"]) == AdvectionProblem.lam
+
+    def test_boundary_weights_default_to_the_library(self, tmp_path):
+        cfg = preset("cubic1d_singular")
+        bare = _edit(cfg.to_string(), "mu_trace = 1e2\nmu_layer = 1e2\n", "")
+        path = write_config(tmp_path, bare)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "bare")]) == 0
+        assert main(["solve", "--preset", cfg.name, "--out", str(tmp_path / "preset")]) == 0
+        name = f"{cfg.name}_solution.csv"
+        assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "preset" / name).read_bytes()
+
+    @pytest.mark.parametrize("key", ["mu_trace", "mu_layer"])
+    def test_boundary_weight_checked_with_boundary_off(self, key, tmp_path, capsys):
+        text = _edit(preset("poly2d_kernel_study").to_string(), "mu_grad = 1e4\n",
+                     f"mu_grad = 1e4\n{key} = -1\n")
+        path = write_config(tmp_path, text)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 # -- artifact schemas ---------------------------------------------------------
 
 
@@ -517,7 +558,7 @@ class TestDeterminism:
         X = _grid_points(cfg)
         prob = CollocationProblem.for_eigenvalue(
             make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3), X,
-            penalties=_penalties(cfg, X),
+            penalties=_penalties(cfg),
         )
         direct = evaluate(solve(prob), X)
         # 17 significant digits survive the text round trip bit for bit

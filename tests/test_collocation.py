@@ -40,11 +40,6 @@ def cubic_reference(X):
     return x / np.sqrt(1.0 - x * x)
 
 
-def boundary_penalties(points):
-    trace, layer = boundary_sets(points)
-    return PenaltyConfig(mu_trace=1e2, mu_layer=1e2, trace_points=trace, layer_points=layer)
-
-
 def first_coordinate_kernel():
     # rank-one kernel whose factor is the exact eigenfunction x1 of the
     # diagonal test system at rate -1
@@ -128,23 +123,49 @@ class TestAssemble:
 
     def test_boundary_rows_match_penalty_sets(self):
         pts = cubic_grid()
-        pen = boundary_penalties(pts)
+        trace, layer = boundary_sets(pts)
         prob = CollocationProblem.for_eigenvalue(
-            make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3), pts, pen
+            make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3), pts,
+            PenaltyConfig(boundary=True),
         )
         asm = assemble(prob)
-        assert asm.T.shape == (len(pen.trace_points), len(pts))
-        assert asm.Y.shape == (len(pen.layer_points), len(pts))
+        assert asm.T.shape == (len(trace), len(pts))
+        assert asm.Y.shape == (len(layer), len(pts))
         # layer rows carry the 1/sqrt(m) mean-square scaling
-        raw = prob.kernel.pairwise(pen.layer_points, pts)
-        np.testing.assert_allclose(asm.Y, raw / np.sqrt(len(pen.layer_points)), atol=1e-15)
+        raw = prob.kernel.pairwise(layer, pts)
+        np.testing.assert_allclose(asm.Y, raw / np.sqrt(len(layer)), atol=1e-15)
+
+    @pytest.mark.parametrize("boundary", [True, False])
+    def test_boundary_rows_are_the_problems_boundary_sets(self, boundary):
+        pts = tensor_grid([(-1, 1), (-1, 1)], 7)
+        prob = CollocationProblem.for_eigenvalue(
+            make_system("poly2d"), -1.0, make_kernel("gaussian", gamma=1.0), pts,
+            PenaltyConfig(boundary=boundary),
+        )
+        asm = assemble(prob)
+        trace, layer = boundary_sets(pts) if boundary else (pts[:0], pts[:0])
+        assert asm.T.shape == (len(trace), len(pts)) and asm.Y.shape == (len(layer), len(pts))
+        if boundary:
+            assert np.array_equal(asm.T, prob.kernel.pairwise(trace, pts))
+            assert np.array_equal(asm.Y, prob.kernel.pairwise(layer, pts) / np.sqrt(len(layer)))
+
+    def test_zero_weight_drops_its_boundary_rows(self):
+        pts = cubic_grid()
+        prob = CollocationProblem.for_eigenvalue(
+            make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3), pts,
+            PenaltyConfig(mu_trace=0.0, boundary=True),
+        )
+        asm = assemble(prob)
+        assert asm.T.shape == (0, len(pts))
+        assert asm.Y.shape == (len(boundary_sets(pts)[1]), len(pts))
 
 
 class TestSolve:
     def test_cubic1d_singular_kernel_recovers_reference(self):
         pts = cubic_grid()
         prob = CollocationProblem.for_eigenvalue(
-            make_system("cubic1d"), 1.0, make_kernel("singular_1d"), pts, boundary_penalties(pts)
+            make_system("cubic1d"), 1.0, make_kernel("singular_1d"), pts,
+            PenaltyConfig(boundary=True),
         )
         sol = solve(prob, reference=cubic_reference)
         assert sol.rmse_rescaled <= 5e-4
@@ -153,7 +174,7 @@ class TestSolve:
         pts = cubic_grid()
         prob = CollocationProblem.for_eigenvalue(
             make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3),
-            pts, boundary_penalties(pts),
+            pts, PenaltyConfig(boundary=True),
         )
         sol = solve(prob, reference=cubic_reference)
         assert sol.rmse_rescaled >= 0.5
@@ -206,7 +227,7 @@ class TestSolve:
         pts = cubic_grid()
         prob = CollocationProblem.for_eigenvalue(
             make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3), pts,
-            boundary_penalties(pts),
+            PenaltyConfig(boundary=True),
         )
         asm = assemble(prob)
         pen = prob.penalties
@@ -238,7 +259,7 @@ class TestSolve:
         kern = make_kernel("gaussian", ell=0.3)
         sums = []
         for mu_t in (1.0, 1e2, 1e4):
-            pen = PenaltyConfig(mu_trace=mu_t, trace_points=trace)
+            pen = PenaltyConfig(mu_trace=mu_t, mu_layer=0.0, boundary=True)
             sol = solve(CollocationProblem.for_eigenvalue(sys1, 1.0, kern, pts, pen))
             sums.append(float(np.sum(evaluate(sol, trace) ** 2)))
         assert sums[1] <= sums[0] + 1e-12

@@ -274,6 +274,14 @@ def test_rk4_is_fourth_order():
     assert 12.0 <= ratio <= 20.0
 
 
+@pytest.mark.parametrize("rate", [-1.5, 2.0])
+def test_linear_growth_is_the_flows_factor(rate):
+    sys = dyn.SystemDef("scale", 1, lambda x: rate * x, None, equilibrium=np.zeros(1))
+    cfg = dyn.IntegratorConfig(dt=0.01, M=250)
+    end = dyn.flow(sys, np.array([1.0]), cfg)[0]
+    assert end == pytest.approx(cfg.linear_growth(rate), rel=1e-13)
+
+
 def test_flow_escape_raises_with_time(poly):
     # backward from this point the slow coordinate grows ~ e^t and its square
     # feeds the fast one; the exact sup-norm crossing of 1e6 is near t = 4.6,
@@ -313,3 +321,11 @@ def test_characteristic_identity_trivial_cases(poly):
     const = lambda x: 1.0
     r = dyn.characteristic_identity_residual(poly, const, 0.0, np.array([0.2, 0.1]), 0.7, cfg)
     assert r <= 1e-14
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_characteristic_identity_rejects_non_finite_time(poly, t):
+    u = dyn.poly2d_reference_eigenfunctions()[-1.0]
+    with pytest.raises(ConfigurationError, match="time t must be finite"):
+        dyn.characteristic_identity_residual(
+            poly, u, -1.0, np.array([0.2, 0.1]), t, dyn.IntegratorConfig(1e-3, 1))

@@ -52,8 +52,8 @@ class TestConfig:
             MKLConfig(tau=1.0)
 
     @pytest.mark.parametrize("key, value", [("max_iter", -3), ("max_iter", 2.5),
-                                            ("gtol", float("nan")), ("gtol", float("inf")),
-                                            ("gtol", -1e-6)])
+                                            ("max_iter", True), ("gtol", float("nan")),
+                                            ("gtol", float("inf")), ("gtol", -1e-6)])
     def test_optimizer_settings_validated(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             MKLConfig(**{key: value})
