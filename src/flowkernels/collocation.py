@@ -18,10 +18,13 @@ the cost of giving up (0.05 s at N = 3721 on 2 cores, 0.15 s at N // 8), and
 both bases use the normal equations: QR on the Newton basis cost 10 times
 as much for the same error (README, "Known numerical limitations").
 
-On the full basis, kernel matrices are filled a block of rows at a time, and
-the normal matrix is built by scipy's BLAS in the Fortran order that LAPACK
-factors in place, so a solve holds three (N, N) arrays at its peak: K, B and
-the normal matrix, which becomes its own Cholesky factor.
+On the full basis, B = D - lam K is formed inside each row block of the
+kernel fill, and the normal matrix is built by scipy's BLAS in the Fortran
+order that LAPACK factors in place, so a solve holds two (N, N) arrays at its
+peak: B and the normal matrix, which becomes its own Cholesky factor.  The
+Gram matrix is filled again for phi = K alpha once both are freed (exponential
+kernel under tracemalloc: 2.03 N^2 doubles at N = 1681, 2.01 N^2 or 212 MiB at
+N = 3721, where holding K as well took 3.01 N^2 or 318 MiB).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import scipy.linalg
 from .dynamics import SystemDef, eval_field, linearize
 from .errors import ConfigurationError, NumericalError
 from .grids import boundary_sets
-from .kernels import Kernel
+from .kernels import Kernel, _fill_rows
 
 __all__ = [
     "PenaltyConfig",
@@ -117,7 +120,7 @@ class AssembledSystem:
     G0: np.ndarray      # (dim, M) kernel gradients at the anchor
     T: np.ndarray       # (n_trace, M) kernel values at trace points
     Y: np.ndarray       # (n_layer, M) kernel values at layer points / sqrt(n_layer)
-    K: np.ndarray       # (N, M) Gram matrix; the M basis points c_j are all N points or centers
+    K: Optional[np.ndarray] = None  # (N, r) K(x_i, c_j) on r centers; None on all N points
 
 
 def _kernel_gradients(kernel: Kernel, x: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -127,24 +130,34 @@ def _kernel_gradients(kernel: Kernel, x: np.ndarray, C: np.ndarray) -> np.ndarra
     return kernel.directional_pairwise(np.repeat(x[None, :], d, 0), np.eye(d), C)[1]
 
 
-def kernel_blocks(kernel: Kernel, F: np.ndarray, lam: float, X: np.ndarray,
-                  anchor_point: np.ndarray, C: Optional[np.ndarray] = None):
-    """The residual matrix B, the anchor gradients G0 (dim, M) and the Gram
-    matrix K of one kernel on the points X, with F = f(X), for the M basis
-    points C (default: X)."""
-    C = X if C is None else C
-    K, B = kernel.directional_pairwise(X, F, C)
-    B -= lam * K
-    return B, _kernel_gradients(kernel, anchor_point, C), K
+def residual_rows(kernel: Kernel, F: np.ndarray, lam: float, X: np.ndarray, C: np.ndarray):
+    """A function of a row slice s giving (B[s], K[s]) of one kernel on the
+    points X, with F = f(X), for the basis points C: the residual matrix
+    B = D - lam K is formed inside the block, so a fill that keeps only B
+    holds no (N, M) Gram matrix."""
+    block = kernel._block(X, C, F)
+
+    def rows(s):
+        K, B = block(s)
+        B -= lam * K
+        return B, K
+
+    return rows
 
 
 def assemble(problem: CollocationProblem, centers=None) -> AssembledSystem:
-    """The objective's matrices for phi expanded on all points or on centers."""
+    """The objective's matrices for phi expanded on all points or on centers;
+    only the centers keep their Gram matrix K(X, C)."""
     X = problem.points
     C = X if centers is None else X[centers]
     kern = problem.kernel
-    F = eval_field(problem.system, X)
-    B, G0, K = kernel_blocks(kern, F, problem.lam, X, problem.anchor_point, C)
+    rows = residual_rows(kern, eval_field(problem.system, X), problem.lam, X, C)
+    shape = (len(X), len(C))
+    if centers is None:
+        B, K = _fill_rows(rows, np.empty(shape))[0], None
+    else:
+        B, K = _fill_rows(rows, np.empty(shape), np.empty(shape))
+    G0 = _kernel_gradients(kern, problem.anchor_point, C)
 
     pen = problem.penalties
     trace, layer = boundary_sets(X) if pen.boundary else (X[:0], X[:0])
@@ -281,20 +294,23 @@ def solve(problem: CollocationProblem, reference: Optional[Callable] = None) -> 
         V = greedy[0]
         Lc = V[:, centers].T
         newton = AssembledSystem(*(scipy.linalg.solve_triangular(Lc, M.T, lower=True).T
-                                   for M in (asm.B, asm.G0, asm.T, asm.Y)), K=V.T)
+                                   for M in (asm.B, asm.G0, asm.T, asm.Y)))
         beta = _solve_spd(lambda: normal_matrix(problem, newton),
                           problem.penalties.mu_grad * newton.G0.T @ w)
         coef = scipy.linalg.solve_triangular(Lc, beta, lower=True, trans="T")
         alpha = np.zeros(n)
         alpha[centers] = coef
-    phi = asm.K @ coef
+    residual_norm = float(np.linalg.norm(asm.B @ coef) / np.sqrt(n))
     deriv = asm.G0 @ coef
+    K = asm.K
+    del asm     # frees B before the full basis fills its Gram matrix again for phi
+    phi = (problem.kernel.pairwise(problem.points) if K is None else K) @ coef
     c_star, rmse_rescaled, rmse_raw = _reference_fit(phi, problem.points, reference)
     return Solution(
         alpha=alpha,
         phi=phi,
         problem=problem,
-        residual_norm=float(np.linalg.norm(asm.B @ coef) / np.sqrt(n)),
+        residual_norm=residual_norm,
         anchor_error=float(np.linalg.norm(deriv - w)),
         derivative_at_anchor=deriv,
         rescale_factor=c_star,

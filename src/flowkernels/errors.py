@@ -55,9 +55,10 @@ class UnknownEigenvalueError(ConfigurationError):
 
 
 def positive(name: str, value) -> float:
-    """value as a float; a ConfigurationError naming it unless 0 < value < inf."""
-    if not 0 < value < math.inf:
-        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+    """value as a float if a real number (a bool is not) with 0 < value < inf,
+    else a ConfigurationError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
 
 

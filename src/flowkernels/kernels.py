@@ -11,6 +11,7 @@ so no fill builds an (N, M, d) array or any other (N, M) temporary.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -77,20 +78,26 @@ def fd_value_and_grad(fn, x, h):
     return v[0].reshape(x.shape[:-1]), grad.T.reshape(x.shape)
 
 
-def _fill_rows(block, n, m, parts=1):
-    """The ``parts`` (n, m) matrices of which ``block(s)`` returns the row
-    slice s, written a block of about _BLOCK_ENTRIES entries at a time."""
-    out = [np.empty((n, m)) for _ in range(parts)]
+def _fill_rows(block, *out):
+    """The (n, m) matrices ``out``, with the k-th of them holding the k-th
+    part of the row slices s that ``block(s)`` returns (parts beyond
+    len(out) are dropped), written a block of about _BLOCK_ENTRIES entries
+    at a time."""
+    n, m = out[0].shape
     rows = max(1, _BLOCK_ENTRIES // max(m, 1))
     for start in range(0, n, rows):
         s = slice(start, start + rows)
-        # `held` keeps the previous block's last part alive on purpose: with
-        # nothing held glibc trims the heap top, which each block faults in
-        # again (exponential directional_pairwise, N=3721, warm: 0.22 s and
-        # 1.2k minor faults; 0.42 s and 188k unheld; 0.41 s and 94k holding
-        # every part).
-        for matrix, held in zip(out, block(s)):
-            matrix[s] = held
+        # `parts` keeps the previous block's parts alive while the next is
+        # computed, on purpose: with nothing held glibc trims the heap top,
+        # which each block faults in again (exponential, N=3721, warm, best
+        # of 5 on 2 cores, fresh processes: directional_pairwise 0.25-0.29 s
+        # and 1.1-1.6k minor faults, 0.51-0.55 s and 201k unheld; full-basis
+        # assemble 0.23-0.25 s and 0.7-1.2k, 0.46-0.50 s and 188-200k
+        # unheld; holding only the last part let 45-50k faults through in
+        # some processes)
+        parts = block(s)
+        for matrix, part in zip(out, parts):
+            matrix[s] = part
     return out
 
 
@@ -129,7 +136,7 @@ class Kernel:
     def pairwise(self, X, Y=None):
         """Matrix k(X[i], Y[j]); Y defaults to X."""
         X, Y = _pair(X, Y)
-        return _fill_rows(self._block(X, Y), len(X), len(Y))[0]
+        return _fill_rows(self._block(X, Y), np.empty((len(X), len(Y))))[0]
 
     def gram_columns(self, X):
         """The diagonal k(X[i], X[i]) and a function of i giving k(X, X[i])."""
@@ -143,7 +150,8 @@ class Kernel:
         are (n, m), written one block of rows at a time.
         """
         X, Y = _pair(X, Y)
-        return tuple(_fill_rows(self._block(X, Y, F), len(X), len(Y), parts=2))
+        shape = (len(X), len(Y))
+        return _fill_rows(self._block(X, Y, F), np.empty(shape), np.empty(shape))
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -153,7 +161,9 @@ class Kernel:
 class _ProfileKernel(Kernel):
     """Closed-form family: ``_parts(x, y)`` returns the values and a
     function of j giving the j-th gradient component, on broadcast
-    (..., d) arrays; everything else is derived from it."""
+    (..., d) arrays; everything else is derived from it.  The profile's
+    derivative factor is a function, called once at the first component
+    asked for, so a values-only fill never computes it."""
 
     def eval(self, x, y):
         return self._parts(np.asarray(x, dtype=float), np.asarray(y, dtype=float))[0]
@@ -170,7 +180,7 @@ class RadialKernel(_ProfileKernel):
     """k(x, y) as a function of r^2 = ||x - y||^2.
 
     ``profile(r2)`` returns (value, scale, coef) with gradient component
-    grad_j = (scale * d_j) * coef, d_j = x_j - y_j.
+    grad_j = (scale * d_j) * coef(), d_j = x_j - y_j.
     """
 
     def _parts(self, x, y):
@@ -179,13 +189,14 @@ class RadialKernel(_ProfileKernel):
         for dj in d[1:]:
             r2 = r2 + dj * dj
         value, scale, coef = self.profile(r2)
-        return value, lambda j: (scale * d[j]) * coef
+        coef = functools.cache(coef)
+        return value, lambda j: (scale * d[j]) * coef()
 
 
 class DotProductKernel(_ProfileKernel):
     """k(x, y) as a function of s = <x, y>.
 
-    ``profile(s)`` returns (value, c) with gradient component grad_j = c * y_j.
+    ``profile(s)`` returns (value, c) with gradient component grad_j = c() * y_j.
     """
 
     def _parts(self, x, y):
@@ -193,7 +204,8 @@ class DotProductKernel(_ProfileKernel):
         for j in range(1, x.shape[-1]):
             s = s + x[..., j] * y[..., j]
         value, c = self.profile(s)
-        return value, lambda j: c * y[..., j]
+        c = functools.cache(c)
+        return value, lambda j: c() * y[..., j]
 
 
 class GaussianKernel(RadialKernel):
@@ -213,7 +225,7 @@ class GaussianKernel(RadialKernel):
 
     def profile(self, r2):
         k = np.exp(-self.gamma * r2)
-        return k, -2.0 * self.gamma, k
+        return k, -2.0 * self.gamma, lambda: k
 
 
 class ExponentialKernel(RadialKernel):
@@ -230,7 +242,7 @@ class ExponentialKernel(RadialKernel):
     def profile(self, r2):
         r = np.sqrt(r2)
         k = np.exp(-self.gamma * r)
-        return k, 1.0, np.where(r > 0, -self.gamma * k / np.where(r > 0, r, 1.0), 0.0)
+        return k, 1.0, lambda: np.where(r > 0, -self.gamma * k / np.where(r > 0, r, 1.0), 0.0)
 
 
 class CauchyKernel(RadialKernel):
@@ -244,7 +256,7 @@ class CauchyKernel(RadialKernel):
 
     def profile(self, r2):
         k = 1.0 / (1.0 + r2 / self.gamma ** 2)
-        return k, -2.0 / self.gamma ** 2, k * k
+        return k, -2.0 / self.gamma ** 2, lambda: k * k
 
 
 class InverseQuadraticKernel(RadialKernel):
@@ -258,7 +270,7 @@ class InverseQuadraticKernel(RadialKernel):
 
     def profile(self, r2):
         k = 1.0 / (1.0 + self.gamma * r2)
-        return k, -2.0 * self.gamma, k * k
+        return k, -2.0 * self.gamma, lambda: k * k
 
 
 class TriangularKernel(RadialKernel):
@@ -277,8 +289,11 @@ class TriangularKernel(RadialKernel):
 
     def profile(self, r2):
         r = np.sqrt(r2)
-        inside = (r <= self.sigma) & (r > 0)
-        slope = np.where(inside, -1.0 / (self.sigma * np.where(r > 0, r, 1.0)), 0.0)
+
+        def slope():
+            inside = (r <= self.sigma) & (r > 0)
+            return np.where(inside, -1.0 / (self.sigma * np.where(r > 0, r, 1.0)), 0.0)
+
         return np.maximum(0.0, 1.0 - r / self.sigma), 1.0, slope
 
 
@@ -296,7 +311,7 @@ class SigmoidKernel(DotProductKernel):
 
     def profile(self, s):
         k = np.tanh(self.gamma * s + self.coef0)
-        return k, self.gamma * (1.0 - k * k)
+        return k, lambda: self.gamma * (1.0 - k * k)
 
 
 class PolynomialKernel(DotProductKernel):
@@ -319,7 +334,7 @@ class PolynomialKernel(DotProductKernel):
 
     def profile(self, s):
         b = s + self.coef0
-        return b ** self.degree, self.degree * b ** (self.degree - 1)
+        return b ** self.degree, lambda: self.degree * b ** (self.degree - 1)
 
 
 class RankOneKernel(Kernel):

@@ -19,8 +19,8 @@ import numpy as np
 import scipy.optimize
 
 from .collocation import (
-    CollocationProblem, PenaltyConfig, Solution, _normal_equations, _reference_fit, _solve_spd,
-    kernel_blocks, solve,
+    CollocationProblem, PenaltyConfig, Solution, _kernel_gradients, _normal_equations,
+    _reference_fit, _solve_spd, residual_rows, solve,
 )
 from .dynamics import SystemDef, eval_field, linearize
 from .errors import ConfigurationError, NumericalError, count
@@ -115,13 +115,15 @@ class MKLResult:
 
 def _per_kernel_blocks(system, lam, points, anchor_point, kernels):
     """Stacked residual matrices, anchor gradients and Gram matrices,
-    one slab per base kernel, from collocation's ``kernel_blocks``.  The
-    mixture versions are beta-linear combinations of these."""
+    one slab per base kernel, each filled in place from collocation's
+    ``residual_rows``.  The mixture versions are beta-linear combinations
+    of these."""
     F = eval_field(system, points)
     (n, d), L = points.shape, len(kernels)
     Bs, G0s, Ks = np.empty((L, n, n)), np.empty((L, d, n)), np.empty((L, n, n))
     for l, k in enumerate(kernels):
-        Bs[l], G0s[l], Ks[l] = kernel_blocks(k, F, lam, points, anchor_point)
+        _fill_rows(residual_rows(k, F, lam, points, points), Bs[l], Ks[l])
+        G0s[l] = _kernel_gradients(k, anchor_point, points)
     return Bs, G0s, Ks
 
 
@@ -186,7 +188,7 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
 
     # the learned mixture's Gram matrix, filled and summed as KernelMixture
     # fills and sums it, so phi is bitwise that mixture's pairwise(X) @ alpha
-    phi = _fill_rows(lambda s: (_bank_sum(beta, Ks[:, s]),), n, n)[0] @ alpha
+    phi = _fill_rows(lambda s: (_bank_sum(beta, Ks[:, s]),), np.empty((n, n)))[0] @ alpha
     c_star, rmse, _ = _reference_fit(phi, X, reference)
     return MKLResult(
         beta=beta, alpha=alpha, phi=phi,

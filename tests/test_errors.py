@@ -1,13 +1,14 @@
-"""The shared count rule of flowkernels.errors, at each setting that counts."""
+"""The shared count and positive-number rules of flowkernels.errors, at
+the settings that use them."""
 
 import numpy as np
 import pytest
 
 from flowkernels.advection import QuadratureRule
 from flowkernels.dynamics import IntegratorConfig, make_system, poly2d_reference_eigenfunctions
-from flowkernels.errors import ConfigurationError, count
+from flowkernels.errors import ConfigurationError, count, positive
 from flowkernels.grids import tensor_grid
-from flowkernels.kernels import PolynomialKernel
+from flowkernels.kernels import GaussianKernel, PolynomialKernel
 from flowkernels.mkl import MKLConfig
 from flowkernels.spectral import trajectory_eigenrelation_check
 
@@ -46,3 +47,25 @@ def test_integral_counts_stored_as_int():
     assert type(IntegratorConfig(dt=0.1, M=np.int64(4)).M) is int
     assert QuadratureRule(-1, 1, n=5.0).n == 5
     assert MKLConfig(max_iter=2.0).max_iter == 2
+
+
+# a call with a positive number that is not a real number, and the argument
+# name its error must carry
+_POSITIVE_CASES = {
+    "integrator_dt_text": (lambda: IntegratorConfig(dt="0.1", M=3), "dt"),
+    "gaussian_gamma_text": (lambda: GaussianKernel(gamma="1"), "gamma"),
+    "gaussian_gamma_bool": (lambda: GaussianKernel(gamma=True), "gamma"),
+    "gaussian_ell_list": (lambda: GaussianKernel(ell=[1.0]), "ell"),
+}
+
+
+@pytest.mark.parametrize("case", list(_POSITIVE_CASES))
+def test_positive_rejects_non_reals(case):
+    call, name = _POSITIVE_CASES[case]
+    with pytest.raises(ConfigurationError, match=f"^{name} must be positive and finite, got "):
+        call()
+
+
+def test_positive_numbers_stored_as_float():
+    assert type(positive("x", np.float32(0.5))) is float and positive("x", 2) == 2.0
+    assert type(IntegratorConfig(dt=np.float64(0.1), M=3).dt) is float

@@ -245,7 +245,10 @@ def test_directional_assembly_is_bit_identical_to_gradient_tensor(k):
     prob = CollocationProblem.for_eigenvalue(system, -1.0, k, X)
     asm = assemble(prob)
     K, B, G = _tensor_reference(k, system, prob.lam, X)
-    assert np.array_equal(asm.K, K)
+    # the full basis keeps no Gram matrix; a center basis of every point
+    # keeps K(X, X) as pairwise fills it
+    assert asm.K is None
+    assert np.array_equal(assemble(prob, np.arange(len(X))).K, K)
     assert np.array_equal(asm.B, B)
     assert np.array_equal(asm.G0, kernel_gradient(k, np.zeros((1, 2)), X)[0].T)
     if k.family in ("exponential", "triangular"):
@@ -286,6 +289,27 @@ BLOCKED_CASES = ALL_FAMILIES + [
     kn.KernelMixture(ALL_FAMILIES[:3], [0.2, 0.3, 0.5]),
     kn.RankOneKernel(lambda x: x[..., 0] - x[..., 1] ** 2 + np.sin(x[..., 1])),
 ]
+
+
+def _family_case(family):
+    """A kernel of the family at its default hyperparameters, the points X
+    it is defined on and probes P off them."""
+    rng = np.random.default_rng(29)
+    if family == "singular_1d":
+        return kn.make_kernel(family), np.linspace(-0.9, 0.9, 40)[:, None], \
+            rng.uniform(-0.9, 0.9, (15, 1))
+    k = kn.make_kernel(family, **({"gamma": 1.0} if family == "gaussian" else {}))
+    return k, tensor_grid([(-1.0, 1.0), (-1.0, 1.0)], 13), rng.uniform(-1.0, 1.0, (50, 2))
+
+
+@pytest.mark.parametrize("family", kn.kernel_family_names())
+def test_values_fill_is_the_value_half_of_the_directional_fill(family):
+    # a values-only fill skips the derivative factor and changes no value
+    k, X, P = _family_case(family)
+    for A, Y in ((X, X), (P, X)):
+        F = np.random.default_rng(31).standard_normal(A.shape)
+        K, _ = k.directional_pairwise(A, F, Y)
+        assert np.array_equal(k.pairwise(A, Y), K)
 
 
 @pytest.mark.parametrize("k", BLOCKED_CASES, ids=lambda k: k.family)
@@ -349,7 +373,8 @@ def test_rank_one_assembly_evaluates_xi_three_times():
     K = np.outer(xi(X), xi(X))
     G = xi(X)[None, :, None] * g[:, None, :]
     B = np.einsum("ijd,id->ij", G, F) - prob.lam * K
-    np.testing.assert_allclose(asm.K, K, rtol=1e-12, atol=0)
+    assert asm.K is None
+    np.testing.assert_allclose(prob.kernel.pairwise(X), K, rtol=1e-12, atol=0)
     np.testing.assert_allclose(asm.B, B, rtol=1e-12, atol=1e-12 * np.max(np.abs(B)))
 
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 
 from flowkernels import mkl
-from flowkernels.collocation import CollocationProblem, solve
+from flowkernels.collocation import CollocationProblem, assemble, solve
 from flowkernels.dynamics import make_system, poly2d_reference_eigenfunctions
 from flowkernels.errors import ConfigurationError, NumericalError
 from flowkernels.grids import tensor_grid
@@ -147,6 +147,19 @@ class TestSolve:
         res = mkl_solve(SYS, 3.0, GRID, cfg)
         mixture = KernelMixture(list(cfg.base_kernels), res.beta)
         assert np.array_equal(res.phi, mixture.pairwise(GRID) @ res.alpha)
+
+
+def test_per_kernel_slabs_are_each_kernels_own_blocks():
+    # the slabs are filled in place by the collocation assembly's row block
+    X = tensor_grid([(-1, 1), (-1, 1)], 9)
+    kernels = default_kernel_bank()
+    lam = CollocationProblem.for_eigenvalue(SYS, 3.0, kernels[0], X).lam
+    Bs, G0s, Ks = mkl._per_kernel_blocks(SYS, lam, X, np.zeros(2), kernels)
+    for l, k in enumerate(kernels):
+        asm = assemble(CollocationProblem.for_eigenvalue(SYS, 3.0, k, X))
+        assert np.array_equal(Bs[l], asm.B)
+        assert np.array_equal(G0s[l], asm.G0)
+        assert np.array_equal(Ks[l], k.pairwise(X))
 
 
 def _objective_pair(system, lam, w, X, cfg, theta):
