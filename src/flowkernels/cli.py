@@ -171,7 +171,11 @@ def _write_solution(path, X: np.ndarray, result, ref) -> None:
 def _archive(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     """Create the output directory and archive the config in it.  Runners
     call this after reading every setting they use and before any numerics,
-    so a config error writes nothing."""
+    so a config error writes nothing; a key the runner never read is one."""
+    unread = cfg.unread_keys()
+    if unread:
+        raise ConfigurationError(
+            f"the {cfg.command} command does not read {', '.join(unread)}")
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -413,6 +417,10 @@ def _dispatch(args) -> int:
         raise ConfigurationError(
             f"config is for command {cfg.command!r} but {args.command!r} was invoked"
         )
+    version = cfg.get("experiment", "schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise ConfigurationError(
+            f"config schema_version {version!r} is not the supported {SCHEMA_VERSION!r}")
     _RUNNERS[args.command](cfg, pathlib.Path(args.out))
     return 0
 

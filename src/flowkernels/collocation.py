@@ -25,6 +25,13 @@ peak: B and the normal matrix, which becomes its own Cholesky factor.  The
 Gram matrix is filled again for phi = K alpha once both are freed (exponential
 kernel under tracemalloc: 2.03 N^2 doubles at N = 1681, 2.01 N^2 or 212 MiB at
 N = 3721, where holding K as well took 3.01 N^2 or 318 MiB).
+
+One BLAS thread pool on the solve path: numpy and scipy each load their own
+OpenBLAS, each with its own threads, and a large product on numpy's pool just
+before scipy's Cholesky stalls the factor.  So every large matrix-vector
+product here and in MKL goes through ``_matvec`` to scipy's BLAS, and
+``_normal_equations`` keeps its penalty products below the size at which
+OpenBLAS starts threads.
 """
 
 from __future__ import annotations
@@ -216,6 +223,19 @@ def _solve_spd(normal: Callable[[], np.ndarray], rhs: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x by scipy's BLAS, which builds and factors the normal matrix; a
+    C-ordered A goes in as its Fortran-ordered transpose with trans=1, so
+    f2py copies nothing, and the bits are those of numpy's A @ x.  With
+    these products on numpy's pool, the MKL objective's Cholesky factors
+    stalled (2 cores, 2 threads, one mkl_bank pass): one 441 x 441 factor
+    per pass took 57-93 ms against 1.4-6 ms for the rest, and 961 x 961
+    factors 12-151 ms; on one pool 1.5-6 ms and 8-10 ms."""
+    if A.flags.f_contiguous:
+        return scipy.linalg.blas.dgemv(1.0, A, x)
+    return scipy.linalg.blas.dgemv(1.0, A.T, x, trans=1)
+
+
 def _normal_equations(B: np.ndarray, eta: float, terms) -> np.ndarray:
     """B.T B / n + eta I + sum of mu M.T M over the (mu, M) pairs in terms,
     accumulated in place in that order (pairs with an empty M skipped) in the
@@ -225,8 +245,9 @@ def _normal_equations(B: np.ndarray, eta: float, terms) -> np.ndarray:
     A.flat[:: A.shape[0] + 1] += eta
     for mu, M in terms:
         if M.size:
-            # 32 columns: no (N, N) temporary, and products too small to wake numpy's
-            # BLAS threads before scipy's POTRF (256: +0.25 s per N=3721 solve, 2 cores)
+            # 32 columns: no (N, N) temporary, and, by the one-pool rule, products too
+            # small to wake numpy's BLAS threads before scipy's POTRF (256: +0.25 s
+            # per N=3721 solve, 2 cores)
             P = mu * M.T
             for j in range(0, A.shape[1], 32):
                 A[:, j:j + 32] += P @ M[:, j:j + 32]
@@ -300,11 +321,11 @@ def solve(problem: CollocationProblem, reference: Optional[Callable] = None) -> 
         coef = scipy.linalg.solve_triangular(Lc, beta, lower=True, trans="T")
         alpha = np.zeros(n)
         alpha[centers] = coef
-    residual_norm = float(np.linalg.norm(asm.B @ coef) / np.sqrt(n))
+    residual_norm = float(np.linalg.norm(_matvec(asm.B, coef)) / np.sqrt(n))
     deriv = asm.G0 @ coef
     K = asm.K
     del asm     # frees B before the full basis fills its Gram matrix again for phi
-    phi = (problem.kernel.pairwise(problem.points) if K is None else K) @ coef
+    phi = _matvec(problem.kernel.pairwise(problem.points) if K is None else K, coef)
     c_star, rmse_rescaled, rmse_raw = _reference_fit(phi, problem.points, reference)
     return Solution(
         alpha=alpha,

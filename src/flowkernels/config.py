@@ -4,7 +4,8 @@ A config is a two-level mapping section -> key -> string.  Keeping the
 canonical representation textual makes the write/parse round trip exact
 by construction.  Typed accessors parse values on demand; a missing key
 without a default, or a value that does not parse, is a config error, and
-so is a number that is NaN or infinite.
+so is a number that is NaN or infinite.  A config remembers which keys were
+asked for, so a key that the command never reads can be reported.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import ConfigurationError
 
@@ -48,16 +49,22 @@ def _parse_finite(v: str) -> float:
 @dataclass(frozen=True, eq=True)
 class ExperimentConfig:
     sections: Dict[str, Dict[str, str]] = field(default_factory=dict)
+    # (section, key) pairs asked for through has() and get(), set or not
+    _asked: Set[Tuple[str, str]] = field(default_factory=set, init=False,
+                                         compare=False, repr=False)
 
     # -- raw access helpers -------------------------------------------------
 
     def has(self, section: str, key: Optional[str] = None) -> bool:
+        if key is not None:
+            self._asked.add((section, key))
         if section not in self.sections:
             return False
         return key is None or key in self.sections[section]
 
     def get(self, section: str, key: str, default: Optional[str] = None) -> str:
         """The raw value; a missing key without a default is a config error."""
+        self._asked.add((section, key))
         v = self.sections.get(section, {}).get(key, default)
         if v is None:
             raise ConfigurationError(f"missing config key [{section}] {key}")
@@ -107,9 +114,16 @@ class ExperimentConfig:
         return bounds, counts
 
     def kernel_spec(self) -> Dict[str, str]:
+        """Every [kernel] key, all of which count as asked for."""
         if not self.has("kernel"):
             raise ConfigurationError("missing [kernel] section")
+        self._asked.update(("kernel", k) for k in self.sections["kernel"])
         return dict(self.sections["kernel"])
+
+    def unread_keys(self) -> List[str]:
+        """The keys set but never asked for, as '[section] key'."""
+        return [f"[{s}] {k}" for s, entries in self.sections.items()
+                for k in entries if (s, k) not in self._asked]
 
     # -- serialization ---------------------------------------------------
 

@@ -19,8 +19,8 @@ import numpy as np
 import scipy.optimize
 
 from .collocation import (
-    CollocationProblem, PenaltyConfig, Solution, _kernel_gradients, _normal_equations,
-    _reference_fit, _solve_spd, residual_rows, solve,
+    CollocationProblem, PenaltyConfig, Solution, _kernel_gradients, _matvec,
+    _normal_equations, _reference_fit, _solve_spd, residual_rows, solve,
 )
 from .dynamics import SystemDef, eval_field, linearize
 from .errors import ConfigurationError, NumericalError, count
@@ -34,7 +34,6 @@ from .kernels import (
     PolynomialKernel,
     SigmoidKernel,
     TriangularKernel,
-    _bank_sum,
     _fill_rows,
 )
 
@@ -114,17 +113,17 @@ class MKLResult:
 
 
 def _per_kernel_blocks(system, lam, points, anchor_point, kernels):
-    """Stacked residual matrices, anchor gradients and Gram matrices,
-    one slab per base kernel, each filled in place from collocation's
+    """Stacked residual matrices and anchor gradients, one slab per base
+    kernel, the residual slabs filled in place from collocation's
     ``residual_rows``.  The mixture versions are beta-linear combinations
-    of these."""
+    of these; no Gram matrix is kept."""
     F = eval_field(system, points)
     (n, d), L = points.shape, len(kernels)
-    Bs, G0s, Ks = np.empty((L, n, n)), np.empty((L, d, n)), np.empty((L, n, n))
+    Bs, G0s = np.empty((L, n, n)), np.empty((L, d, n))
     for l, k in enumerate(kernels):
-        _fill_rows(residual_rows(k, F, lam, points, points), Bs[l], Ks[l])
+        _fill_rows(residual_rows(k, F, lam, points, points), Bs[l])
         G0s[l] = _kernel_gradients(k, anchor_point, points)
-    return Bs, G0s, Ks
+    return Bs, G0s
 
 
 def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
@@ -140,16 +139,17 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
     anchor = np.asarray(system.equilibrium, dtype=float)
     kernels = cfg.base_kernels
     L, n = len(kernels), X.shape[0]
-    Bs, G0s, Ks = _per_kernel_blocks(system, lam, X, anchor, kernels)
+    Bs, G0s = _per_kernel_blocks(system, lam, X, anchor, kernels)
 
     def objective(theta):
         v = np.exp(theta)
         beta = v / v.sum()
-        B = np.tensordot(beta, Bs, axes=1)
-        G0 = np.tensordot(beta, G0s, axes=1)
+        # the mixture slabs on scipy's BLAS, whose POTRF factors them next
+        B = _matvec(Bs.reshape(L, -1).T, beta).reshape(n, n)
+        G0 = _matvec(G0s.reshape(L, -1).T, beta).reshape(G0s.shape[1:])
         alpha = _solve_spd(lambda: _normal_equations(B, cfg.eta, [(cfg.mu_grad, G0)]),
                            cfg.mu_grad * G0.T @ w)
-        r = B @ alpha
+        r = _matvec(B, alpha)
         a_gap = G0 @ alpha - w
         f = (r @ r) / n + cfg.eta * (alpha @ alpha) + cfg.mu_grad * (a_gap @ a_gap)
         # envelope gradient: alpha is optimal, so only the explicit beta
@@ -186,9 +186,8 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
     beta = v / v.sum()
     alpha = evaluate(res.x)[2]
 
-    # the learned mixture's Gram matrix, filled and summed as KernelMixture
-    # fills and sums it, so phi is bitwise that mixture's pairwise(X) @ alpha
-    phi = _fill_rows(lambda s: (_bank_sum(beta, Ks[:, s]),), np.empty((n, n)))[0] @ alpha
+    del Bs      # frees the slabs before the learned mixture's Gram matrix is filled for phi
+    phi = _matvec(KernelMixture(kernels, beta).pairwise(X), alpha)
     c_star, rmse, _ = _reference_fit(phi, X, reference)
     return MKLResult(
         beta=beta, alpha=alpha, phi=phi,

@@ -41,11 +41,7 @@ MERCER_INI = """
 [experiment]
 name = gauss_modes
 command = mercer
-seed = 0
 schema_version = 1
-
-[system]
-name = poly2d
 
 [kernel]
 family = gaussian
@@ -272,7 +268,19 @@ _CONFIG_CASES = {
                         "mercer", 0),
     "capitalized_family": (_edit(MERCER_INI, "family = gaussian", "family = Gaussian"),
                            "mercer", 0),
-    "mercer_without_system": (_edit(MERCER_INI, "[system]\nname = poly2d\n", ""), "mercer", 0),
+    "mercer_without_system": (MERCER_INI, "mercer", 0),
+    # a key the command never reads is a config error, however harmless
+    "mercer_with_system": (_edit(MERCER_INI, "[kernel]", "[system]\nname = poly2d\n\n[kernel]"),
+                           "mercer", 2),
+    "unread_experiment_key": (_edit(MERCER_INI, "command = mercer\n",
+                                    "command = mercer\nseed = 0\n"), "mercer", 2),
+    "solve_penalty_typo": (_edit(preset("poly2d_kernel_study").to_string(), "mu_grad = 1e4\n",
+                                 "mu_grad = 1e4\nmu_trac = -1\n"), "solve", 2),
+    "mkl_boundary_penalties": (_edit(preset("poly2d_mkl_l1").to_string(), "mu_grad = 1e4\n",
+                                     "mu_grad = 1e4\nboundary = on\nmu_trace = -5\n"),
+                               "mkl", 2),
+    "schema_version_unknown": (_edit(MERCER_INI, "schema_version = 1", "schema_version = 2"),
+                               "mercer", 2),
     "bounds_nan": (_edit(MERCER_INI, "-1:1, -1:1", "-1:nan, -1:1"), "mercer", 2),
     "bounds_inf": (_edit(MERCER_INI, "-1:1, -1:1", "-1:1, -inf:1"), "mercer", 2),
     # singular_1d takes 1-D points only, and only inside (-1, 1)
@@ -286,7 +294,14 @@ _CONFIG_CASES = {
 }
 
 # what the error reason must name, beyond its category
-_CONFIG_REASONS = {"singular_1d_at_interval_ends": "point index 0"}
+_CONFIG_REASONS = {
+    "singular_1d_at_interval_ends": "point index 0",
+    "mercer_with_system": "mercer command does not read [system] name",
+    "unread_experiment_key": "[experiment] seed",
+    "solve_penalty_typo": "solve command does not read [penalties] mu_trac",
+    "mkl_boundary_penalties": "[penalties] boundary, [penalties] mu_trace",
+    "schema_version_unknown": "schema_version '2'",
+}
 
 
 @pytest.mark.parametrize("case", list(_CONFIG_CASES))
@@ -340,7 +355,6 @@ def test_every_registered_kernel_name_runs_on_the_cli(family, tmp_path):
     # the CLI accepts exactly the names make_kernel accepts, aliases included
     gamma = "gamma = 1\n" if kernels._FAMILIES[family] is kernels.GaussianKernel else ""
     text = (f"[experiment]\nname = registry\ncommand = mercer\n\n"
-            f"[system]\nname = cubic1d\n\n"
             f"[kernel]\nfamily = {family}\n{gamma}\n"
             f"[grid]\nbounds = -0.9:0.9\ncounts = 15\n")
     path = write_config(tmp_path, text)

@@ -10,6 +10,7 @@ import scipy.linalg
 from flowkernels.collocation import (
     CollocationProblem,
     PenaltyConfig,
+    _matvec,
     _solve_spd,
     assemble,
     evaluate,
@@ -341,6 +342,29 @@ class TestSolve:
             assert sol.n_centers == n_centers
             assert np.array_equal(sol.phi, evaluate(sol, prob.points))
             assert np.array_equal(gradient_at(sol, prob.anchor_point), sol.derivative_at_anchor)
+
+
+class TestMatvec:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_the_matrix_product(self, order):
+        rng = np.random.default_rng(3)
+        A = np.asarray(rng.standard_normal((300, 200)), order=order)
+        x = rng.standard_normal(200)
+        ref = A @ x
+        assert np.allclose(_matvec(A, x), ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_copies_nothing(self, order):
+        rng = np.random.default_rng(4)
+        A = np.asarray(rng.standard_normal((600, 400)), order=order)
+        x = rng.standard_normal(400)
+        tracemalloc.start()
+        try:
+            _matvec(A, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes / 4
 
 
 class TestGreedyCenters:

@@ -1,6 +1,7 @@
 """Mixture-weight learning, thresholding, and pruned refits."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,12 +155,25 @@ def test_per_kernel_slabs_are_each_kernels_own_blocks():
     X = tensor_grid([(-1, 1), (-1, 1)], 9)
     kernels = default_kernel_bank()
     lam = CollocationProblem.for_eigenvalue(SYS, 3.0, kernels[0], X).lam
-    Bs, G0s, Ks = mkl._per_kernel_blocks(SYS, lam, X, np.zeros(2), kernels)
+    Bs, G0s = mkl._per_kernel_blocks(SYS, lam, X, np.zeros(2), kernels)
     for l, k in enumerate(kernels):
         asm = assemble(CollocationProblem.for_eigenvalue(SYS, 3.0, k, X))
         assert np.array_equal(Bs[l], asm.B)
         assert np.array_equal(G0s[l], asm.G0)
-        assert np.array_equal(Ks[l], k.pairwise(X))
+
+
+def test_solve_holds_the_residual_slabs_and_no_gram_slabs():
+    # the L residual slabs, the mixture's B and its normal matrix; the
+    # learned mixture's Gram matrix is filled for phi after the slabs go
+    cfg = MKLConfig()
+    L, n = len(cfg.base_kernels), GRID.shape[0]
+    tracemalloc.start()
+    try:
+        mkl_solve(SYS, 3.0, GRID, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * L * n * n * 8
 
 
 def _objective_pair(system, lam, w, X, cfg, theta):
@@ -167,7 +181,7 @@ def _objective_pair(system, lam, w, X, cfg, theta):
     from flowkernels.collocation import _solve_spd
     from flowkernels.mkl import _per_kernel_blocks
 
-    Bs, G0s, _ = _per_kernel_blocks(system, lam, X, np.zeros(2), cfg.base_kernels)
+    Bs, G0s = _per_kernel_blocks(system, lam, X, np.zeros(2), cfg.base_kernels)
     n = X.shape[0]
     v = np.exp(theta)
     beta = v / v.sum()
