@@ -7,6 +7,10 @@ come from it.  One row-block loop fills every kernel matrix, values and
 directional alike, mixtures and multiple-kernel learning included: the
 (N, M) results are allocated once and written a block of rows at a time,
 so no fill builds an (N, M, d) array or any other (N, M) temporary.
+A bank of kernels (a mixture's components, or MKL's base kernels) is
+filled by one row function that shares work between its kernels: in each
+row block every geometry (r^2 and x - y, or <x,y>) is computed once, and
+each power (<x,y> + coef0)^k of the polynomial family once.
 """
 
 from __future__ import annotations
@@ -80,25 +84,55 @@ def fd_value_and_grad(fn, x, h):
 
 def _fill_rows(block, *out):
     """The (n, m) matrices ``out``, with the k-th of them holding the k-th
-    part of the row slices s that ``block(s)`` returns (parts beyond
-    len(out) are dropped), written a block of about _BLOCK_ENTRIES entries
-    at a time."""
+    part of the row slices s that ``block(s)`` returns or yields (parts
+    beyond len(out) are dropped), written a block of about _BLOCK_ENTRIES
+    entries at a time."""
     n, m = out[0].shape
     rows = max(1, _BLOCK_ENTRIES // max(m, 1))
     for start in range(0, n, rows):
         s = slice(start, start + rows)
-        # `parts` keeps the previous block's parts alive while the next is
-        # computed, on purpose: with nothing held glibc trims the heap top,
-        # which each block faults in again (exponential, N=3721, warm, best
-        # of 5 on 2 cores, fresh processes: directional_pairwise 0.25-0.29 s
-        # and 1.1-1.6k minor faults, 0.51-0.55 s and 201k unheld; full-basis
-        # assemble 0.23-0.25 s and 0.7-1.2k, 0.46-0.50 s and 188-200k
-        # unheld; holding only the last part let 45-50k faults through in
-        # some processes)
+        # `held` keeps the previous block's parts alive until this block's
+        # are written, on purpose: with nothing held glibc trims the heap
+        # top, which each block faults in again.  A generator (MKL's bank)
+        # stays suspended at its last part, so all of its block stays
+        # alive, its memo included.  Warm, best of 5 on 2 cores, 5 fresh
+        # processes: MKL's 11-kernel bank at N=961 0.15-0.16 s and 1.3k
+        # minor faults, 0.18-0.24 s and 18.6-19.9k without `held`; the
+        # exponential kernel at N=3721, directional_pairwise 0.25-0.27 s and
+        # 1.2-1.7k, full-basis assemble 0.24-0.25 s and 0.6-0.7k, against
+        # 0.38-0.41 s and 49-50k for either with nothing held
         parts = block(s)
         for matrix, part in zip(out, parts):
             matrix[s] = part
+        held = parts
     return out
+
+
+def _memo(memo, key, make):
+    """memo[key], made by make() on first use."""
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def _bank_rows(kernels, X, Y, F=None):
+    """A function of a row slice s yielding each kernel's parts, (K[s],) or
+    (K[s], D[s]) given directions F, one kernel at a time in bank order.
+
+    The kernels' blocks share one memo per slice, so each geometry and each
+    polynomial power is computed once per slice whatever the number of
+    kernels using it, with the bits of each kernel's own fill.  A K part
+    may be a memo array that serves a later kernel too, so it is read-only;
+    D parts are new arrays.
+    """
+    blocks = [k._block(X, Y, F) for k in kernels]
+
+    def rows(s, memo=None):
+        memo = {} if memo is None else memo
+        for block in blocks:
+            yield block(s, memo)
+
+    return rows
 
 
 def _bank_sum(weights, parts):
@@ -121,7 +155,8 @@ def _contract(F, slab, dim):
 class Kernel:
     """Interface: symmetric k(x, y) with gradient in the first argument.
     Subclasses give ``eval`` and ``_block(X, Y, F=None)``, a function of a
-    row slice s returning (K[s],), or (K[s], D[s]) given directions F."""
+    row slice s returning (K[s],), or (K[s], D[s]) given directions F; its
+    optional second argument is the slice's memo shared between kernels."""
 
     family: str = "abstract"
 
@@ -159,18 +194,20 @@ class Kernel:
 
 
 class _ProfileKernel(Kernel):
-    """Closed-form family: ``_parts(x, y)`` returns the values and a
+    """Closed-form family: ``_parts(x, y, memo)`` returns the values and a
     function of j giving the j-th gradient component, on broadcast
-    (..., d) arrays; everything else is derived from it.  The profile's
-    derivative factor is a function, called once at the first component
-    asked for, so a values-only fill never computes it."""
+    (..., d) arrays; everything else is derived from it.  It applies the
+    profile to its class's ``_geometry(x, y)``, taken from the memo that
+    kernels on the same x and y share.  The profile's derivative factor is
+    a function, called once at the first component asked for, so a
+    values-only fill never computes it."""
 
     def eval(self, x, y):
-        return self._parts(np.asarray(x, dtype=float), np.asarray(y, dtype=float))[0]
+        return self._parts(np.asarray(x, dtype=float), np.asarray(y, dtype=float), {})[0]
 
     def _block(self, X, Y, F=None):
-        def block(s):
-            K, slab = self._parts(X[s, None, :], Y[None, :, :])
+        def block(s, memo=None):
+            K, slab = self._parts(X[s, None, :], Y[None, :, :], {} if memo is None else memo)
             return (K,) if F is None else (K, _contract(F[s], slab, X.shape[1]))
 
         return block
@@ -183,11 +220,16 @@ class RadialKernel(_ProfileKernel):
     grad_j = (scale * d_j) * coef(), d_j = x_j - y_j.
     """
 
-    def _parts(self, x, y):
+    @staticmethod
+    def _geometry(x, y):
         d = [x[..., j] - y[..., j] for j in range(x.shape[-1])]
         r2 = d[0] * d[0]
         for dj in d[1:]:
             r2 = r2 + dj * dj
+        return d, r2
+
+    def _parts(self, x, y, memo):
+        d, r2 = _memo(memo, RadialKernel, lambda: self._geometry(x, y))
         value, scale, coef = self.profile(r2)
         coef = functools.cache(coef)
         return value, lambda j: (scale * d[j]) * coef()
@@ -196,14 +238,21 @@ class RadialKernel(_ProfileKernel):
 class DotProductKernel(_ProfileKernel):
     """k(x, y) as a function of s = <x, y>.
 
-    ``profile(s)`` returns (value, c) with gradient component grad_j = c() * y_j.
+    ``profile(s, memo)`` returns (value, c) with gradient component
+    grad_j = c() * y_j; ``memo`` holds arrays derived from s that kernels
+    on the same x and y share.
     """
 
-    def _parts(self, x, y):
+    @staticmethod
+    def _geometry(x, y):
         s = x[..., 0] * y[..., 0]
         for j in range(1, x.shape[-1]):
             s = s + x[..., j] * y[..., j]
-        value, c = self.profile(s)
+        return s
+
+    def _parts(self, x, y, memo):
+        s = _memo(memo, DotProductKernel, lambda: self._geometry(x, y))
+        value, c = self.profile(s, memo)
         c = functools.cache(c)
         return value, lambda j: c() * y[..., j]
 
@@ -309,7 +358,7 @@ class SigmoidKernel(DotProductKernel):
         self.gamma = float(gamma)
         self.coef0 = float(coef0)
 
-    def profile(self, s):
+    def profile(self, s, memo):
         k = np.tanh(self.gamma * s + self.coef0)
         return k, lambda: self.gamma * (1.0 - k * k)
 
@@ -332,9 +381,16 @@ class PolynomialKernel(DotProductKernel):
         self.degree = degree
         self.coef0 = float(coef0)
 
-    def profile(self, s):
-        b = s + self.coef0
-        return b ** self.degree, lambda: self.degree * b ** (self.degree - 1)
+    def profile(self, s, memo):
+        # b and each b ** k once per (coef0, k) in the memo: degree d's
+        # derivative factor is degree d - 1's value.  Powers stay numpy's
+        # b ** k: repeated products round differently in degrees 3 to 6.
+        b = _memo(memo, self.coef0, lambda: s + self.coef0)
+
+        def power(k):
+            return _memo(memo, (self.coef0, k), lambda: b ** k)
+
+        return power(self.degree), lambda: self.degree * power(self.degree - 1)
 
 
 class RankOneKernel(Kernel):
@@ -372,7 +428,7 @@ class RankOneKernel(Kernel):
             xi_x, g = np.asarray(self.xi(X)), np.asarray(self.xi_grad(X))
         xi_y = xi_x if Y is X else np.asarray(self.xi(Y))
 
-        def block(s):
+        def block(s, memo=None):
             K = np.outer(xi_x[s], xi_y)
             if F is None:
                 return (K,)
@@ -404,12 +460,14 @@ class KernelMixture(Kernel):
         return _bank_sum(self.weights, (c.eval(x, y) for c in self.components))
 
     def _block(self, X, Y, F=None):
-        blocks = [c._block(X, Y, F) for c in self.components]
+        rows = _bank_rows(self.components, X, Y, F)
 
-        def block(s):
-            # the components' K rows, then their D rows, each summed in bank order
-            return tuple(_bank_sum(self.weights, parts)
-                         for parts in zip(*(b(s) for b in blocks)))
+        def block(s, memo=None):
+            # the components' K rows, and their D rows, each summed as _bank_sum does
+            acc = (0, 0)
+            for b, parts in zip(self.weights, rows(s, memo)):
+                acc = tuple(a + b * part for a, part in zip(acc, parts))
+            return acc
 
         return block
 

@@ -20,7 +20,7 @@ import scipy.optimize
 
 from .collocation import (
     CollocationProblem, PenaltyConfig, Solution, _kernel_gradients, _matvec,
-    _normal_equations, _reference_fit, _solve_spd, residual_rows, solve,
+    _normal_equations, _reference_fit, _solve_spd, solve,
 )
 from .dynamics import SystemDef, eval_field, linearize
 from .errors import ConfigurationError, NumericalError, count
@@ -34,6 +34,7 @@ from .kernels import (
     PolynomialKernel,
     SigmoidKernel,
     TriangularKernel,
+    _bank_rows,
     _fill_rows,
 )
 
@@ -107,21 +108,31 @@ class MKLResult:
     pruned_beta: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        # negated, so that NaN weights fail the test too
         s = float(np.sum(self.beta))
-        if abs(s - 1.0) > 1e-9 or np.min(self.beta) < -1e-12:
+        if not (abs(s - 1.0) <= 1e-9 and np.min(self.beta) >= -1e-12):
             raise NumericalError(f"mixture weights left the simplex (sum {s})")
 
 
 def _per_kernel_blocks(system, lam, points, anchor_point, kernels):
     """Stacked residual matrices and anchor gradients, one slab per base
-    kernel, the residual slabs filled in place from collocation's
-    ``residual_rows``.  The mixture versions are beta-linear combinations
-    of these; no Gram matrix is kept."""
+    kernel.  The residual slabs are filled by the bank's shared row
+    function, a block of rows at a time: each kernel's B = D - lam K, formed
+    as collocation's ``residual_rows`` forms it, goes into its slab before
+    the next kernel's rows are made.  The mixture versions are beta-linear
+    combinations of these; no Gram matrix is kept."""
     F = eval_field(system, points)
     (n, d), L = points.shape, len(kernels)
     Bs, G0s = np.empty((L, n, n)), np.empty((L, d, n))
+    rows = _bank_rows(kernels, points, points, F)
+
+    def residuals(s):
+        for K, B in rows(s):
+            B -= lam * K
+            yield B
+
+    _fill_rows(residuals, *Bs)
     for l, k in enumerate(kernels):
-        _fill_rows(residual_rows(k, F, lam, points, points), Bs[l])
         G0s[l] = _kernel_gradients(k, anchor_point, points)
     return Bs, G0s
 
@@ -138,7 +149,7 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
     lam, w = lin.eigenpair(lam)
     anchor = np.asarray(system.equilibrium, dtype=float)
     kernels = cfg.base_kernels
-    L, n = len(kernels), X.shape[0]
+    (n, d), L = X.shape, len(kernels)
     Bs, G0s = _per_kernel_blocks(system, lam, X, anchor, kernels)
 
     def objective(theta):
@@ -153,9 +164,9 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
         a_gap = G0 @ alpha - w
         f = (r @ r) / n + cfg.eta * (alpha @ alpha) + cfg.mu_grad * (a_gap @ a_gap)
         # envelope gradient: alpha is optimal, so only the explicit beta
-        # dependence contributes
-        g = (2.0 / n) * np.einsum("lij,j,i->l", Bs, alpha, r)
-        g += 2.0 * cfg.mu_grad * np.einsum("ldj,j,d->l", G0s, alpha, a_gap)
+        # dependence contributes; the slabs times alpha on scipy's BLAS
+        g = (2.0 / n) * (_matvec(Bs.reshape(L * n, n), alpha).reshape(L, n) @ r)
+        g += 2.0 * cfg.mu_grad * (_matvec(G0s.reshape(L * d, n), alpha).reshape(L, d) @ a_gap)
         return f, beta * (g - beta @ g), alpha
 
     # the initial trace entry, the optimizer's first call, the callback at

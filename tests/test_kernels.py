@@ -312,6 +312,32 @@ def test_values_fill_is_the_value_half_of_the_directional_fill(family):
         assert np.array_equal(k.pairwise(A, Y), K)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bank_fill_is_the_weighted_sum_of_each_kernels_own_fill(dim, monkeypatch):
+    # a mixture fills its components through one shared row function; each
+    # geometry and polynomial power it shares must keep the bits of the
+    # component's own fill, whatever kernel computed it first
+    X, P = _family_case("singular_1d" if dim == 1 else "gaussian")[1:]
+    bank = [_family_case(f)[0] for f in kn.kernel_family_names()
+            if dim == 1 or f != "singular_1d"]
+    bank += [kn.PolynomialKernel(degree=d, coef0=c) for c in (1.0, 0.5) for d in (3, 2, 4)]
+    bank += [kn.RankOneKernel(lambda x: np.sin(x).sum(-1)),
+             kn.KernelMixture([kn.GaussianKernel(gamma=2.0), kn.PolynomialKernel(degree=3)],
+                              [0.4, 0.6])]
+    rng = np.random.default_rng(37)
+    w = rng.uniform(0.1, 1.0, len(bank))
+    mix = kn.KernelMixture(bank, w / w.sum())
+    monkeypatch.setattr(kn, "_BLOCK_ENTRIES", 1000)        # many blocks, the last ragged
+    for A, Y in ((X, X), (P, X)):
+        F = rng.standard_normal(A.shape)
+        own = [k.directional_pairwise(A, F, Y) for k in bank]
+        K, D = mix.directional_pairwise(A, F, Y)
+        assert np.array_equal(K, kn._bank_sum(mix.weights, [Kl for Kl, _ in own]))
+        assert np.array_equal(D, kn._bank_sum(mix.weights, [Dl for _, Dl in own]))
+        assert np.array_equal(mix.pairwise(A, Y),
+                              kn._bank_sum(mix.weights, [k.pairwise(A, Y) for k in bank]))
+
+
 @pytest.mark.parametrize("k", BLOCKED_CASES, ids=lambda k: k.family)
 def test_blocked_directional_assembly_equals_unblocked(k, monkeypatch):
     system = make_system("poly2d")

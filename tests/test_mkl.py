@@ -67,6 +67,15 @@ class TestConfig:
                 converged=True, config=small_cfg(),
             )
 
+    @pytest.mark.parametrize("beta", [[np.nan, np.nan], [0.5, np.nan, 0.5]])
+    def test_result_rejects_non_finite_weights(self, beta):
+        with pytest.raises(NumericalError, match="simplex"):
+            MKLResult(
+                beta=np.array(beta), alpha=np.zeros(3), phi=np.zeros(3),
+                kernel_labels=("a",) * len(beta), loss_trace=np.zeros(1),
+                converged=True, config=small_cfg(),
+            )
+
 
 class TestSolve:
     def test_identical_pair_splits_evenly_and_matches_plain_solve(self):
