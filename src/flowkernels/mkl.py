@@ -16,11 +16,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .collocation import (
-    CollocationProblem, PenaltyConfig, Solution, _kernel_gradients, _matvec,
-    _normal_equations, _reference_fit, _solve_spd, solve,
+    CollocationProblem, PenaltyConfig, Solution, _matvec, _normal_equations,
+    _reference_fit, _solve_spd, solve,
 )
 from .dynamics import SystemDef, eval_field, linearize
 from .errors import ConfigurationError, NumericalError, count
@@ -106,6 +105,8 @@ class MKLResult:
     rescale_factor: Optional[float] = None
     rmse_rescaled: Optional[float] = None
     pruned_beta: Optional[np.ndarray] = None
+    n_evaluations: Optional[int] = None   # objective evaluations, one inner solve each
+    stop_reason: Optional[str] = None     # "gtol", "max_iter" or "line_search"
 
     def __post_init__(self):
         # negated, so that NaN weights fail the test too
@@ -116,10 +117,12 @@ class MKLResult:
 
 def _per_kernel_blocks(system, lam, points, anchor_point, kernels):
     """Stacked residual matrices and anchor gradients, one slab per base
-    kernel.  The residual slabs are filled by the bank's shared row
-    function, a block of rows at a time: each kernel's B = D - lam K, formed
+    kernel, both filled by the bank's shared row function.  The residual
+    slabs go a block of rows at a time: each kernel's B = D - lam K, formed
     as collocation's ``residual_rows`` forms it, goes into its slab before
-    the next kernel's rows are made.  The mixture versions are beta-linear
+    the next kernel's rows are made.  The anchor gradients are formed as
+    collocation's ``_kernel_gradients`` forms them: d copies of the anchor,
+    with the axes as directions.  The mixture versions are beta-linear
     combinations of these; no Gram matrix is kept."""
     F = eval_field(system, points)
     (n, d), L = points.shape, len(kernels)
@@ -132,17 +135,74 @@ def _per_kernel_blocks(system, lam, points, anchor_point, kernels):
             yield B
 
     _fill_rows(residuals, *Bs)
-    for l, k in enumerate(kernels):
-        G0s[l] = _kernel_gradients(k, anchor_point, points)
+    grads = _bank_rows(kernels, np.repeat(anchor_point[None, :], d, 0), points, np.eye(d))
+    _fill_rows(lambda s: (D for _, D in grads(s)), *G0s)
     return Bs, G0s
+
+
+_ARMIJO_C1 = 1e-4
+# a step of 2**-30 in the max-norm of theta moves beta by about 1e-9 relative
+_MAX_HALVINGS = 30
+
+
+def _bfgs(fun, x0, gtol, max_iter):
+    """Minimize ``fun(x) -> (f, g, aux)`` by BFGS on the inverse Hessian
+    with Armijo backtracking (Nocedal & Wright, Numerical Optimization,
+    algorithms 3.1 and 6.1).  Returns the last accepted x and its aux, the
+    losses of the accepted iterates, the number of calls to fun and why it
+    stopped: "gtol" (max|g| <= gtol, tested before every step, the first
+    included), "max_iter" (max_iter steps taken) or "line_search" (no
+    acceptable trial within _MAX_HALVINGS halvings).
+
+    The first trial moves x by exactly 1 in the max norm along -g, so a
+    tiny gradient does not mean a tiny step; later trials take the
+    quasi-Newton step capped at max norm 1.  A non-finite trial loss fails
+    like an insufficient decrease.  An update with s.y <= 0 would make H
+    indefinite and is skipped.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g, aux = fun(x)
+    if not np.isfinite(f):
+        raise NumericalError("mixture optimization started at a non-finite loss")
+    trace, nfev = [f], 1
+    H = np.eye(x.size)
+    for it in range(max_iter + 1):
+        if np.max(np.abs(g)) <= gtol:
+            return x, aux, trace, nfev, "gtol"
+        if it == max_iter:
+            return x, aux, trace, nfev, "max_iter"
+        if it == 0:
+            p = -g / np.max(np.abs(g))
+        else:
+            p = -(H @ g)
+            p /= max(1.0, np.max(np.abs(p)))
+        slope, t = g @ p, 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            x_new = x + t * p
+            f_new, g_new, aux_new = fun(x_new)
+            nfev += 1
+            if np.isfinite(f_new) and f_new <= f + _ARMIJO_C1 * t * slope:
+                break
+            t /= 2.0
+        else:
+            return x, aux, trace, nfev, "line_search"
+        s, y = x_new - x, g_new - g
+        sy = s @ y
+        if sy > 0:
+            V = np.eye(x.size) - np.outer(s, y) / sy
+            H = V @ H @ V.T + np.outer(s, s) / sy
+        x, f, g, aux = x_new, f_new, g_new, aux_new
+        trace.append(f)
 
 
 def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
               reference: Optional[Callable] = None) -> MKLResult:
     """Learn simplex weights and coefficients for the residual objective.
 
-    Deterministic: the optimizer is quasi-Newton with exact inner solves
-    and no stochastic component, so it takes no seed.
+    The weights are a softmax of log-weights theta, minimized by ``_bfgs``
+    from theta = 0 (uniform weights); ``converged`` means the gradient
+    test max|g| <= cfg.gtol stopped it.  Deterministic: the inner solves
+    are exact and nothing is random, so it takes no seed.
     """
     X = np.atleast_2d(np.asarray(points, dtype=float))
     lin = linearize(system)
@@ -167,35 +227,10 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
         # dependence contributes; the slabs times alpha on scipy's BLAS
         g = (2.0 / n) * (_matvec(Bs.reshape(L * n, n), alpha).reshape(L, n) @ r)
         g += 2.0 * cfg.mu_grad * (_matvec(G0s.reshape(L * d, n), alpha).reshape(L, d) @ a_gap)
-        return f, beta * (g - beta @ g), alpha
+        return f, beta * (g - beta @ g), (beta, alpha)
 
-    # the initial trace entry, the optimizer's first call, the callback at
-    # each accepted iterate and the final alpha usually ask for the same
-    # theta; keep the last evaluation so each distinct theta is solved once
-    last = {"theta": None}
-
-    def evaluate(theta):
-        if last["theta"] is None or not np.array_equal(theta, last["theta"]):
-            last.update(theta=theta.copy(), value=objective(theta))
-        return last["value"]
-
-    trace = []
-
-    def record(theta):
-        trace.append(evaluate(theta)[0])
-
-    theta0 = np.zeros(L)
-    trace.append(evaluate(theta0)[0])
-    res = scipy.optimize.minimize(
-        lambda theta: evaluate(theta)[:2], theta0, jac=True, method="BFGS",
-        options={"gtol": cfg.gtol, "maxiter": cfg.max_iter},
-        callback=record,
-    )
-    if not np.isfinite(res.fun):
-        raise NumericalError("mixture optimization diverged to a non-finite loss")
-    v = np.exp(res.x)
-    beta = v / v.sum()
-    alpha = evaluate(res.x)[2]
+    _, (beta, alpha), trace, nfev, reason = _bfgs(objective, np.zeros(L), cfg.gtol,
+                                                  cfg.max_iter)
 
     del Bs      # frees the slabs before the learned mixture's Gram matrix is filled for phi
     phi = _matvec(KernelMixture(kernels, beta).pairwise(X), alpha)
@@ -203,8 +238,9 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
     return MKLResult(
         beta=beta, alpha=alpha, phi=phi,
         kernel_labels=tuple(kernel_label(k) for k in kernels),
-        loss_trace=np.asarray(trace), converged=bool(res.success),
+        loss_trace=np.asarray(trace), converged=reason == "gtol",
         config=cfg, rescale_factor=c_star, rmse_rescaled=rmse,
+        n_evaluations=nfev, stop_reason=reason,
     )
 
 

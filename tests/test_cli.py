@@ -1,6 +1,8 @@
 """CLI contract: exit codes, artifact schemas, determinism, config round trip."""
 
 import csv
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -587,3 +589,17 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "duffing" in proc.stdout
+
+    def test_import_loads_no_scipy_optimize(self):
+        # scipy.optimize's import was about a quarter second of every run's
+        # start-up; the MKL optimizer is numpy
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        code = ("import sys, flowkernels.cli\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,11 +1,14 @@
 """Mixture-weight learning, thresholding, and pruned refits."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from flowkernels import mkl
 from flowkernels.collocation import CollocationProblem, assemble, solve
@@ -136,27 +139,89 @@ class TestSolve:
 
     @pytest.mark.parametrize("lam", [-1.0, 3.0])
     def test_one_inner_solve_per_objective_evaluation(self, lam, monkeypatch):
-        solves, results = [], []
-        solve_spd, minimize = mkl._solve_spd, scipy.optimize.minimize
+        solves = []
+        solve_spd = mkl._solve_spd
 
         def counting_solve_spd(A, rhs):
             solves.append(1)
             return solve_spd(A, rhs)
 
-        def recording_minimize(*args, **kwargs):
-            results.append(minimize(*args, **kwargs))
-            return results[-1]
-
         monkeypatch.setattr(mkl, "_solve_spd", counting_solve_spd)
-        monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
-        mkl_solve(SYS, lam, GRID, MKLConfig())
-        assert len(solves) == results[0].nfev
+        res = mkl_solve(SYS, lam, GRID, MKLConfig())
+        assert len(solves) == res.n_evaluations
 
     def test_phi_is_the_learned_mixture_on_the_points(self):
         cfg = MKLConfig()
         res = mkl_solve(SYS, 3.0, GRID, cfg)
         mixture = KernelMixture(list(cfg.base_kernels), res.beta)
         assert np.array_equal(res.phi, mixture.pairwise(GRID) @ res.alpha)
+
+
+class TestOptimizer:
+    def test_slow_mode_stops_before_any_step(self):
+        # the gradient test holds at theta = 0, so the weights stay exactly
+        # uniform; the loss bits depend on the BLAS thread count, so they
+        # are read from a process pinned at the artifacts' 2 threads
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+                   MKL_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        code = ("import flowkernels as fk\n"
+                "r = fk.mkl_solve(fk.make_system('poly2d'), -1.0,\n"
+                "                 fk.tensor_grid([(-1, 1), (-1, 1)], 21), fk.MKLConfig())\n"
+                "print(r.loss_trace.tolist(), r.n_evaluations, r.stop_reason, r.converged,\n"
+                "      bool((r.beta == 1 / 11).all()))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[4.459625136233008e-08]", "1", "gtol", "True", "True"]
+
+    def test_fast_mode_steps_and_converges(self):
+        res = mkl_solve(SYS, 3.0, GRID, MKLConfig())
+        assert res.loss_trace.size >= 2
+        assert np.all(np.diff(res.loss_trace) < 0)
+        assert res.converged and res.stop_reason == "gtol"
+        assert res.n_evaluations >= res.loss_trace.size
+
+    def test_iteration_cap_reports_not_converged(self):
+        res = mkl_solve(SYS, 3.0, GRID, MKLConfig(max_iter=0))
+        assert not res.converged and res.stop_reason == "max_iter"
+        assert res.n_evaluations == 1 and res.loss_trace.size == 1
+        np.testing.assert_array_equal(res.beta, np.full(11, 1 / 11))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_trial_is_backtracked(self, bad):
+        # a bowl with its minimum at a, non-finite beyond radius 0.5: the
+        # first trial (max-norm 1 from 0) and its first halving land outside
+        a = np.array([0.3, 0.1])
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            if np.linalg.norm(x) > 0.5:
+                return bad, np.full(2, np.nan), None
+            return np.sum((x - a) ** 2), 2.0 * (x - a), x
+
+        x, aux, trace, nfev, reason = mkl._bfgs(fun, np.zeros(2), 1e-10, 50)
+        assert np.max(np.abs(calls[1])) == 1.0
+        assert np.linalg.norm(calls[1]) > 0.5 and np.linalg.norm(calls[2]) > 0.5
+        assert reason == "gtol" and nfev == len(calls)
+        assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) < 0)
+        assert aux is x
+        np.testing.assert_allclose(x, a, atol=1e-10)
+
+    def test_line_search_failure_keeps_the_last_iterate(self):
+        # a loss that is finite only at the start: every trial fails
+        def fun(x):
+            if np.any(x):
+                return np.inf, np.zeros(2), None
+            return 1.0, np.array([1.0, -2.0]), "start"
+
+        x, aux, trace, nfev, reason = mkl._bfgs(fun, np.zeros(2), 0.0, 5)
+        assert reason == "line_search" and aux == "start" and trace == [1.0]
+        assert nfev == 2 + mkl._MAX_HALVINGS
+        np.testing.assert_array_equal(x, np.zeros(2))
 
 
 def test_per_kernel_slabs_are_each_kernels_own_blocks():
