@@ -24,7 +24,7 @@ X = tensor_grid([(-2, 2), (-2, 2)], 25)
 print(f"\n{'T':>5} {'mean |xi|':>12} {'mean |resid|':>13} {'ratio':>8}")
 for T in (0.5, 1.0, 2.0, 4.0, 8.0, 15.0):
     ev = XiEvaluator(system, lin, lam, T=T, M=max(100, int(100 * T)))
-    xi, res = residual_values(ev, X)   # one flow of X and its probes
+    xi, res = residual_values(ev, X)   # one flow of X's complex-step probes
     mx, mr = np.mean(np.abs(xi)), np.mean(np.abs(res))
     print(f"{T:>5.1f} {mx:>12.3e} {mr:>13.3e} {mr / mx:>8.2f}")
 

@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .dynamics import _CLOSED_FORMS
+from .dynamics import _CLOSED_FORMS, _value_and_grad
 from .errors import ConfigurationError, count, positive
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "KernelMixture",
     "make_kernel",
     "kernel_family_names",
-    "fd_value_and_grad",
-    "FD_STEP",
 ]
 
 
@@ -63,24 +61,6 @@ def _pair(X, Y):
 # Entries per row block of a pairwise matrix: block temporaries stay small
 # enough to live in cache instead of streaming whole (N, M) arrays.
 _BLOCK_ENTRIES = 1 << 14
-
-# Central-difference step for gradients of a scalar function of the state.
-FD_STEP = 1e-5
-
-
-def fd_value_and_grad(fn, x, h):
-    """fn(x) and its central-difference gradient, shapes (...) and (..., d),
-    from one call of fn on x stacked with its 2d probes
-    [x, x + h e_1, ..., x + h e_d, x - h e_1, ..., x - h e_d]."""
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1, x.shape[-1])
-    n, d = flat.shape
-    steps = h * np.eye(d)
-    probes = np.concatenate([flat] + [flat + e for e in steps] + [flat - e for e in steps])
-    v = np.asarray(fn(probes)).reshape(2 * d + 1, n)
-    grad = (v[1:d + 1] - v[d + 1:]) / (2.0 * h)
-    return v[0].reshape(x.shape[:-1]), grad.T.reshape(x.shape)
-
 
 def _fill_rows(block, *out):
     """The (n, m) matrices ``out``, with the k-th of them holding the k-th
@@ -396,17 +376,17 @@ class PolynomialKernel(DotProductKernel):
 class RankOneKernel(Kernel):
     """k(x,y) = xi(x) xi(y) for a scalar function xi of the state.
 
-    The gradient uses an analytic ``xi_grad`` when supplied, otherwise
-    central finite differences with step ``FD_STEP``: xi at all points and
-    at all their 2d probes in one call of xi.
+    The gradient is the complex-step derivative: one call of xi on the
+    d N complex states x + ih e_j.  So xi must be vectorized over (n, d)
+    arrays, keep complex states complex and be complex-analytic; a xi that
+    returns real values for complex states is a ``ConfigurationError``.
     """
 
     family = "rank_one"
 
-    def __init__(self, xi, xi_grad=None):
+    def __init__(self, xi):
         super().__init__()
         self.xi = xi
-        self.xi_grad = xi_grad
 
     def eval(self, x, y):
         return np.asarray(self.xi(np.asarray(x, dtype=float))) * np.asarray(
@@ -419,13 +399,11 @@ class RankOneKernel(Kernel):
 
     def _block(self, X, Y, F=None):
         # xi, and its gradient only given directions, once for all blocks;
-        # xi(X) serves Y when Y is X
-        if F is None:
-            xi_x = np.asarray(self.xi(X))
-        elif self.xi_grad is None:
-            xi_x, g = fd_value_and_grad(self.xi, X, FD_STEP)
-        else:
-            xi_x, g = np.asarray(self.xi(X)), np.asarray(self.xi_grad(X))
+        # the values come from a real call, so they keep the bits of a
+        # values-only fill; xi(X) serves Y when Y is X
+        xi_x = np.asarray(self.xi(X))
+        if F is not None:
+            g = _value_and_grad(self.xi, X)[1]
         xi_y = xi_x if Y is X else np.asarray(self.xi(Y))
 
         def block(s, memo=None):
@@ -492,7 +470,7 @@ def _singular_1d() -> RankOneKernel:
                                      f"point index {bad[0]}, x={x.reshape(-1, 1)[bad[0]]}")
         return _CLOSED_FORMS["cubic1d", 1.0](x)
 
-    kernel = RankOneKernel(p, xi_grad=lambda x: (1.0 - x * x) ** -1.5)
+    kernel = RankOneKernel(p)
     kernel.family = "singular_1d"
     return kernel
 

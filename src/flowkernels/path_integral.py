@@ -33,12 +33,12 @@ from .dynamics import (
     IntegratorConfig,
     LinearizationInfo,
     SystemDef,
+    _value_and_grad,
     eval_field,
     flow,
     nonlinear_part,
 )
 from .errors import ConfigurationError
-from .kernels import FD_STEP, fd_value_and_grad
 
 __all__ = [
     "XiEvaluator",
@@ -55,9 +55,9 @@ class XiEvaluator:
     ``lam`` is matched strictly against the spectrum of ``lin`` and replaced
     by the exact eigenvalue; ``w`` is its left eigenvector and ``plan`` the
     RK4 plan of M steps over the horizon T.  Calling the evaluator
-    evaluates the coordinate, so ``RankOneKernel(ev)`` is the rank-one
-    kernel xi(x) xi(y) with central-difference gradients.  Evaluators
-    compare and hash by identity.
+    evaluates the coordinate, on real or complex states, so
+    ``RankOneKernel(ev)`` is the rank-one kernel xi(x) xi(y) with
+    complex-step gradients.  Evaluators compare and hash by identity.
     """
 
     system: SystemDef
@@ -92,40 +92,37 @@ class XiEvaluator:
 
 def xi_values(ev: XiEvaluator, X) -> np.ndarray:
     """Evaluate the coordinate on a batch of states, shape (..., dim) -> (...);
-    a single state (dim,) gives a float."""
-    X = np.asarray(X, dtype=float)
-    squeeze = X.ndim == 1
-    pts = X[None, :] if squeeze else X.reshape(-1, X.shape[-1])
-    end = flow(ev.system, pts, ev.plan, direction=ev.direction)
-    vals = ((end - ev.system.equilibrium) @ ev.w) / ev.plan.linear_growth(abs(ev.lam))
-    out = vals.reshape(X.shape[:-1])
-    return float(out) if squeeze else out
+    a single state (dim,) gives a float.  Complex states stay complex."""
+    X = np.asarray(X)
+    end = flow(ev.system, X, ev.plan, direction=ev.direction)
+    out = ((end - ev.system.equilibrium) @ ev.w) / ev.plan.linear_growth(abs(ev.lam))
+    return float(out) if X.ndim == 1 else out
 
 
-def residual_values(ev: XiEvaluator, X, fd_step: float = FD_STEP):
+def residual_values(ev: XiEvaluator, X):
     """The coordinate and its transport defect f(x) . grad xi(x) - lam xi(x)
     on a batch of states (n, dim), both shaped (n,), from one flow of the
-    states stacked with their 2 dim central-difference probes.
+    dim n complex-step probes x + ih e_j.
 
-    The gradient comes from central differences of the coordinate itself,
-    so the defect is what an RKHS solver would see: how far the truncated
-    coordinate is from satisfying the rate equation at x.
+    The gradient is the complex-step derivative of the coordinate itself,
+    exact to rounding, so the defect is what an RKHS solver would see: how
+    far the truncated coordinate is from satisfying the rate equation at x.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    xi, grads = fd_value_and_grad(ev, X, fd_step)
+    xi, grads = _value_and_grad(ev, X)
     F = eval_field(ev.system, X)
     return xi, np.sum(F * grads, axis=1) - ev.lam * xi
 
 
-def theoretical_residual(ev: XiEvaluator, x) -> float:
-    """Closed-form value of the transport defect at finite horizon.
+def theoretical_residual(ev: XiEvaluator, X) -> np.ndarray:
+    """Closed-form value of the transport defect at finite horizon, on a
+    batch of states (..., dim) -> (...); a single state gives a float.
 
     Differentiating the identity xi_T = e^{-lam d T} w^T s_{dT}(x) along the
-    field gives exactly e^{-lam d T} w^T fnl(s_{dT}(x)); the finite-difference
-    residual of :func:`residual_values` converges to this as the step and
-    quadrature errors vanish.  ``x`` is one state; returns a float.
+    field gives exactly e^{-lam d T} w^T fnl(s_{dT}(x)); the residual of
+    :func:`residual_values` converges to this as the flow's error vanishes.
     """
-    d = ev.direction
-    end = flow(ev.system, np.asarray(x, dtype=float), ev.plan, direction=d)
-    fnl = nonlinear_part(ev.system, ev.lin, end)
-    return float(np.exp(-ev.lam * d * ev.T) * (fnl @ ev.w))
+    X = np.asarray(X, dtype=float)
+    end = flow(ev.system, X, ev.plan, direction=ev.direction)
+    out = np.exp(-ev.lam * ev.direction * ev.T) * (nonlinear_part(ev.system, ev.lin, end) @ ev.w)
+    return float(out) if X.ndim == 1 else out

@@ -403,8 +403,8 @@ class TestPresets:
         assert int(m["n_points"]) == 199
 
     def test_path_integral_preset_flows_once(self, tmp_path, monkeypatch):
-        # xi and the transport residual come from one stacked flow of the
-        # grid and its finite-difference probes
+        # xi and the transport residual come from one flow of the grid's
+        # 2 * 625 complex-step probes
         from flowkernels import path_integral
 
         calls, flow = [], path_integral.flow
@@ -415,7 +415,7 @@ class TestPresets:
 
         monkeypatch.setattr(path_integral, "flow", counted)
         assert main(["path-integral", "--preset", "duffing_char", "--out", str(tmp_path)]) == 0
-        assert calls == [(5 * 625, 2)]
+        assert calls == [(2 * 625, 2)]
 
     def test_unify_preset_metrics(self, tmp_path):
         assert main(["unify", "--preset", "unify_advection", "--out", str(tmp_path)]) == 0

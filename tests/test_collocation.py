@@ -44,10 +44,7 @@ def cubic_reference(X):
 def first_coordinate_kernel():
     # rank-one kernel whose factor is the exact eigenfunction x1 of the
     # diagonal test system at rate -1
-    return RankOneKernel(
-        lambda X: X[:, 0],
-        lambda X: np.stack([np.ones(len(X)), np.zeros(len(X))], axis=-1),
-    )
+    return RankOneKernel(lambda X: X[:, 0])
 
 
 class TestProblemValidation:

@@ -300,6 +300,14 @@ def test_escape_radius_configurable(duffing):
         dyn.flow(duffing, np.array([3.0, 0.0]), cfg, escape_radius=2.0)
 
 
+@pytest.mark.parametrize("radius", [np.nan, 0.0, -1.0])
+def test_escape_radius_validated(duffing, radius):
+    # a bad radius is a config error, not an escape at the first step
+    cfg = dyn.IntegratorConfig.from_horizon(1.0, 10)
+    with pytest.raises(ConfigurationError, match="escape_radius"):
+        dyn.flow(duffing, np.array([0.1, 0.0]), cfg, escape_radius=radius)
+
+
 # ----------------------------------------------------------------------------
 # transport identity along trajectories
 # ----------------------------------------------------------------------------

@@ -383,25 +383,33 @@ def test_rank_one_assembly_evaluates_xi_three_times():
     X = tensor_grid([(-1.0, 1.0), (-1.0, 1.0)], 11)
     prob = CollocationProblem.for_eigenvalue(system, -1.0, kn.RankOneKernel(xi), X)
     asm = assemble(prob)
-    # xi(X) fused with its 2d finite-difference probes, then for the anchor
-    # gradients the anchor (repeated once per direction) fused with its
-    # probes, and xi(X)
-    assert calls == [5 * len(X), 2 * 5, len(X)]
+    # on the grid: xi(X) for the values, xi on its d N complex-step probes
+    # for the gradient, and xi(X) again for the basis side of the anchor
+    # gradients; the anchor (repeated once per direction) gets the first two
+    assert calls == [len(X), 2 * len(X), 2, 2 * 2, len(X)]
 
-    # reference: one finite-difference call of xi per dimension, then the
+    # reference: one complex-step call of xi per dimension, then the
     # (N, N, d) gradient tensor contracted with F
-    h, F = 1e-5, eval_field(system, X)
-    g = np.empty_like(X)
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = h
-        g[:, j] = (xi(X + e) - xi(X - e)) / (2.0 * h)
+    h, F = 1e-200, eval_field(system, X)
+    g = np.stack([xi(X + 1j * h * e).imag / h for e in np.eye(2)], axis=1)
     K = np.outer(xi(X), xi(X))
     G = xi(X)[None, :, None] * g[:, None, :]
     B = np.einsum("ijd,id->ij", G, F) - prob.lam * K
     assert asm.K is None
     np.testing.assert_allclose(prob.kernel.pairwise(X), K, rtol=1e-12, atol=0)
     np.testing.assert_allclose(asm.B, B, rtol=1e-12, atol=1e-12 * np.max(np.abs(B)))
+
+
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+@pytest.mark.parametrize("xi", [lambda x: np.asarray(x, dtype=float)[..., 0],
+                                lambda x: np.abs(x[..., 0])], ids=["float_cast", "abs"])
+def test_rank_one_assembly_rejects_a_xi_without_complex_step(xi):
+    # a xi that returns real values for complex states would give a
+    # gradient of exactly 0; the assembly refuses it instead
+    X = tensor_grid([(-1.0, 1.0), (-1.0, 1.0)], 5)
+    prob = CollocationProblem.for_eigenvalue(make_system("poly2d"), -1.0, kn.RankOneKernel(xi), X)
+    with pytest.raises(ConfigurationError, match="complex"):
+        assemble(prob)
 
 
 # ----------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from flowkernels import dynamics as dyn, path_integral as pi
-from flowkernels.kernels import RankOneKernel, fd_value_and_grad
+from flowkernels.grids import tensor_grid
+from flowkernels.kernels import RankOneKernel
 from flowkernels.errors import (
     ConfigurationError,
     FlowEscapeError,
@@ -148,7 +149,7 @@ def test_horizon_and_steps_validated(duffing, T, M):
 def test_residual_zero_for_linear_system(linear):
     s, lin = linear
     ev = pi.XiEvaluator(s, lin, -2.0, T=3.0, M=600)
-    r = pi.residual_values(ev, [np.array([0.4, -0.7])], fd_step=1e-5)[1][0]
+    r = pi.residual_values(ev, [np.array([0.4, -0.7])])[1][0]
     assert abs(r) <= 1e-8
 
 
@@ -163,22 +164,19 @@ def test_residual_values_matches_pointwise(duffing):
 
 
 def test_residual_values_equals_separate_evaluations(duffing):
-    # the stacked flow of X and its probes gives bit for bit what separate
-    # xi_values calls give: xi(X), and the residual built one dimension at
-    # a time from xi(X + h e_j) and xi(X - h e_j)
+    # the one flow of all complex-step probes gives what separate xi_values
+    # calls give one direction at a time, Im xi(X + ih e_j) / h, to the
+    # rounding of the complex projection; its xi is the real part of that
+    # flow, which matches xi(X) to rounding too
     s, lin = duffing
     ev = pi.XiEvaluator(s, lin, lin.eigenvalues[0], T=4.0, M=800)
     X = np.random.default_rng(12).uniform(-1.2, 1.2, size=(37, 2))
-    h = 1e-5
-    xi, res = pi.residual_values(ev, X, fd_step=h)
-    assert np.array_equal(xi, pi.xi_values(ev, X))
-    grads = np.empty_like(X)
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = h
-        grads[:, j] = (pi.xi_values(ev, X + e) - pi.xi_values(ev, X - e)) / (2.0 * h)
-    want = np.sum(dyn.eval_field(s, X) * grads, axis=1) - ev.lam * pi.xi_values(ev, X)
-    assert np.array_equal(res, want)
+    h = 1e-200
+    xi, res = pi.residual_values(ev, X)
+    np.testing.assert_allclose(xi, pi.xi_values(ev, X), rtol=1e-14, atol=0)
+    grads = np.stack([pi.xi_values(ev, X + 1j * h * e).imag / h for e in np.eye(2)], axis=1)
+    want = np.sum(dyn.eval_field(s, X) * grads, axis=1) - ev.lam * xi
+    np.testing.assert_allclose(res, want, rtol=1e-13, atol=0)
 
 
 def test_residual_matches_theory(duffing):
@@ -187,9 +185,19 @@ def test_residual_matches_theory(duffing):
     rng = np.random.default_rng(5)
     for _ in range(4):
         x = rng.uniform(-1.2, 1.2, 2)
-        fd = pi.residual_values(ev, [x], fd_step=1e-4)[1][0]
+        r = pi.residual_values(ev, [x])[1][0]
         th = pi.theoretical_residual(ev, x)
-        assert fd == pytest.approx(th, rel=2e-3, abs=1e-9)
+        assert isinstance(th, float)
+        assert r == pytest.approx(th, rel=2e-3, abs=1e-9)
+
+    # on the duffing_char grid the complex-step residual column is the
+    # closed-form truncation term to 1e-7 mean relative error (central
+    # differences at step 1e-5 reached 4.1e-6)
+    ev = pi.XiEvaluator(s, lin, lin.eigenvalues[0], T=15.0, M=1500)
+    X = tensor_grid([(-2.0, 2.0), (-2.0, 2.0)], 25)
+    res, th = pi.residual_values(ev, X)[1], pi.theoretical_residual(ev, X)
+    assert th.shape == (625,)
+    assert np.mean(np.abs(res - th)) / np.mean(np.abs(th)) <= 1e-7
 
 
 def test_residual_suppressed_at_long_horizon(duffing):
@@ -198,7 +206,7 @@ def test_residual_suppressed_at_long_horizon(duffing):
     T = 40.0  # lam * T > 30
     ev = pi.XiEvaluator(s, lin, lam, T=T, M=8000)
     x = np.array([0.9, 0.2])
-    r = pi.residual_values(ev, [x], fd_step=1e-4)[1][0]
+    r = pi.residual_values(ev, [x])[1][0]
     assert abs(r) <= 1e-6 * (1.0 + abs(pi.xi_values(ev, x)))
 
 
@@ -250,15 +258,16 @@ def test_horizon_convergence_poly2d_fast_mode(poly):
 
 
 def test_linear_consistency_gradient_at_equilibrium(poly, duffing):
-    # horizons chosen so finite-difference probes near 0 do not escape:
-    # the fast poly2d rate amplifies a 1e-5 offset by e^{3T}
+    # the complex-step gradient of xi at the equilibrium is the left
+    # eigenvector w to rounding: the RK4 map's Jacobian there multiplies w
+    # by the same R(|lam| dt)^M that xi divides by
     for (s, lin), lam, T in [(poly, 3.0, 4.0), (duffing, None, 8.0)]:
         if lam is None:
             lam = lin.eigenvalues[0]
         ev = pi.XiEvaluator(s, lin, lam, T=T, M=int(400 * T))
         _, w = lin.eigenpair(lam)
-        g = fd_value_and_grad(ev, np.zeros(2), 1e-5)[1]
-        assert np.max(np.abs(g - w)) <= 1e-4
+        g = dyn._value_and_grad(ev, np.zeros((1, 2)))[1][0]
+        assert np.max(np.abs(g - w)) <= 1e-10
 
 
 def test_transport_identity_along_flow(duffing):
