@@ -10,7 +10,7 @@ eigenvectors, and an RK4 flow map that returns the final states.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,23 +44,19 @@ DEFAULT_ESCAPE_RADIUS = 1e6
 
 @dataclass(frozen=True)
 class SystemDef:
-    """An autonomous ODE  x' = f(x), with its analytic Jacobian.
+    """An autonomous ODE  x' = f(x); f is the system's only definition.
 
     ``f`` must be vectorized: it accepts arrays shaped (..., dim) and
-    returns velocities of the same shape.  Path-integral gradients flow
-    complex states, so ``f`` must keep a complex input complex and be
-    complex-analytic (polynomials are; ``abs``, ``maximum`` and ``where``
-    are not).  ``jacobian`` maps a single state (dim,) to the (dim, dim)
-    matrix of partials; ``linearize`` needs it whenever the system has an
-    equilibrium.
+    returns velocities of the same shape.  ``linearize`` and the
+    path-integral gradients evaluate it on complex states, so ``f`` must
+    keep a complex input complex and be complex-analytic (polynomials are;
+    ``abs``, ``maximum`` and ``where`` are not).
     """
 
     name: str
     dim: int
     f: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     equilibrium: Optional[np.ndarray] = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.equilibrium is not None:
@@ -131,10 +127,7 @@ def _cubic1d() -> SystemDef:
     def f(x):
         return x - x ** 3
 
-    def jac(x):
-        return np.array([[1.0 - 3.0 * float(x[0]) ** 2]])
-
-    return SystemDef("cubic1d", 1, f, jac, equilibrium=np.zeros(1))
+    return SystemDef("cubic1d", 1, f, equilibrium=np.zeros(1))
 
 
 def _poly2d() -> SystemDef:
@@ -153,17 +146,7 @@ def _poly2d() -> SystemDef:
         f1 = -x1 + x2 ** 2 + 2.0 * x2 * f2
         return np.stack([f1, f2], axis=-1)
 
-    def jac(x):
-        x1, x2 = float(x[0]), float(x[1])
-        u = x1 - x2 ** 2
-        df2 = np.array([-10.0 * u, 3.0 + 20.0 * u * x2])
-        f2 = 3.0 * x2 - 5.0 * u ** 2
-        df1 = np.array(
-            [-1.0 + 2.0 * x2 * df2[0], 2.0 * x2 + 2.0 * f2 + 2.0 * x2 * df2[1]]
-        )
-        return np.array([df1, df2])
-
-    return SystemDef("poly2d", 2, f, jac, equilibrium=np.zeros(2))
+    return SystemDef("poly2d", 2, f, equilibrium=np.zeros(2))
 
 
 # Closed-form eigenfunctions of the built-ins that have one, keyed by
@@ -192,14 +175,7 @@ def _duffing(delta: float = 0.5, beta: float = -1.0, alpha: float = 1.0) -> Syst
         x1, x2 = x[..., 0], x[..., 1]
         return np.stack([x2, -delta * x2 - beta * x1 - alpha * x1 * x1 * x1], axis=-1)
 
-    def jac(x):
-        x1 = float(x[0])
-        return np.array([[0.0, 1.0], [-beta - 3.0 * alpha * x1 ** 2, -delta]])
-
-    return SystemDef(
-        "duffing", 2, f, jac, equilibrium=np.zeros(2),
-        params={"delta": delta, "beta": beta, "alpha": alpha},
-    )
+    return SystemDef("duffing", 2, f, equilibrium=np.zeros(2))
 
 
 def _linear_test(a: float = -1.0, b: float = -2.0) -> SystemDef:
@@ -208,12 +184,7 @@ def _linear_test(a: float = -1.0, b: float = -2.0) -> SystemDef:
     def f(x):
         return np.stack([a * x[..., 0], b * x[..., 1]], axis=-1)
 
-    def jac(x):
-        return np.diag([a, b]).astype(float)
-
-    return SystemDef(
-        "linear_test", 2, f, jac, equilibrium=np.zeros(2), params={"a": a, "b": b}
-    )
+    return SystemDef("linear_test", 2, f, equilibrium=np.zeros(2))
 
 
 _BUILDERS: dict[str, Callable[..., SystemDef]] = {
@@ -247,6 +218,9 @@ def make_system(name: str) -> SystemDef:
             args = [float(tok) for tok in argstr.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigurationError(f"bad system arguments in {name!r}: {exc}") from exc
+    for i, a in enumerate(args, 1):
+        if not np.isfinite(a):
+            raise ConfigurationError(f"argument {i} of system {name!r} is not finite: {a}")
     try:
         return _BUILDERS[base](*args)
     except TypeError as exc:
@@ -268,12 +242,19 @@ def eval_field(sys: SystemDef, x: np.ndarray) -> np.ndarray:
 
 
 def linearize(sys: SystemDef) -> LinearizationInfo:
-    """Jacobian at the equilibrium plus its real simple left eigensystem."""
+    """Jacobian E of f at the equilibrium x*, by complex step, plus its real
+    simple left eigensystem.  x* must be a zero of f, and E finite."""
     if sys.equilibrium is None:
         raise ConfigurationError(f"system {sys.name!r} has no equilibrium to linearize at")
-    if sys.jacobian is None:
-        raise ConfigurationError(f"system {sys.name!r} has no Jacobian to linearize with")
-    E = np.asarray(sys.jacobian(sys.equilibrium), dtype=float)
+    f0, E = _value_and_grad(sys.f, sys.equilibrium[None, :])
+    f0, E = f0[0], np.ascontiguousarray(E[0])
+    if not np.all(np.isfinite(E)):
+        raise ConfigurationError(f"system {sys.name!r} has a non-finite Jacobian {E.tolist()}")
+    drift = np.max(np.abs(f0))
+    if not drift <= 1e-10 * max(1.0, np.max(np.abs(E)) * np.max(np.abs(sys.equilibrium))):
+        raise ConfigurationError(
+            f"equilibrium of system {sys.name!r} is not a zero of f: |f(x*)| = {drift:.3e}"
+        )
 
     lams, wmat = np.linalg.eig(E.T)  # right eigenvectors of E^T = left of E
     if np.max(np.abs(lams.imag)) > 1e-10 * max(np.max(np.abs(lams)), 1.0):
@@ -313,21 +294,25 @@ def nonlinear_part(sys: SystemDef, lin: LinearizationInfo, x: np.ndarray) -> np.
 
 
 def _value_and_grad(fn, x):
-    """fn(x) and its gradient, shapes (n,) and (n, d), for states x (n, d),
-    from one call of fn on the d n complex states x + ih e_j: the e_1 block's
-    real part is fn(x) and Im fn(x + ih e_j) / h the j-th partial, exact to
-    rounding for complex-analytic fn (Squire & Trapp, SIAM Rev. 40, 1998).
-    At h = 1e-200 a product of two imaginary parts underflows to exactly 0,
-    so on a polynomial field the real parts keep the real flow's bits."""
+    """fn(x) and its derivative, shapes (n, *out) and (n, *out, d), for
+    states x (n, d) and fn mapping (m, d) to (m, *out): a scalar fn gives
+    gradients, a field its Jacobians.  One call of fn on the d n complex
+    states x + ih e_j: the e_1 block's real part is fn(x) and
+    Im fn(x + ih e_j) / h the j-th partial, exact to rounding for
+    complex-analytic fn (Squire & Trapp, SIAM Rev. 40, 1998).  At h = 1e-200
+    a product of two imaginary parts underflows to exactly 0, so on a
+    polynomial field the real parts keep the real flow's bits."""
     h = 1e-200
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     v = np.asarray(fn((x + 1j * h * np.eye(d)[:, None, :]).reshape(d * n, d)))
     if not np.iscomplexobj(v):
-        raise ConfigurationError("xi returned real values for complex states: it must keep "
-                                 "them complex and be complex-analytic (no float cast, no abs)")
-    v = v.reshape(d, n)
-    return v[0].real, (v.imag / h).T
+        raise ConfigurationError(
+            f"{getattr(fn, '__name__', type(fn).__name__)} returned real values for complex "
+            "states: it must keep them complex and be complex-analytic (no float cast, "
+            "no abs)")
+    v = v.reshape(d, n, *v.shape[1:])
+    return v[0].real, np.moveaxis(v.imag / h, 0, -1)
 
 
 def _rk4_step(f, x, dt):

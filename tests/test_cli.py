@@ -285,6 +285,10 @@ _CONFIG_CASES = {
                                "mercer", 2),
     "bounds_nan": (_edit(MERCER_INI, "-1:1, -1:1", "-1:nan, -1:1"), "mercer", 2),
     "bounds_inf": (_edit(MERCER_INI, "-1:1, -1:1", "-1:1, -inf:1"), "mercer", 2),
+    "system_argument_nan": (_edit(ESCAPE_INI, "name = poly2d", "name = linear_test(nan, -2)"),
+                            "path-integral", 2),
+    "system_argument_inf": (_edit(ESCAPE_INI, "name = poly2d", "name = duffing(inf)"),
+                            "path-integral", 2),
     # singular_1d takes 1-D points only, and only inside (-1, 1)
     "solve_kernel_invalid_on_grid": (_edit(NO_RIDGE_INI, "family = polynomial\ndegree = 1\n"
                                            "coef0 = 0.5", "family = singular_1d"), "solve", 2),
@@ -303,6 +307,8 @@ _CONFIG_REASONS = {
     "solve_penalty_typo": "solve command does not read [penalties] mu_trac",
     "mkl_boundary_penalties": "[penalties] boundary, [penalties] mu_trace",
     "schema_version_unknown": "schema_version '2'",
+    "system_argument_nan": "argument 1 of system 'linear_test(nan, -2)' is not finite",
+    "system_argument_inf": "argument 1 of system 'duffing(inf)' is not finite",
 }
 
 
@@ -314,6 +320,7 @@ def test_config_cases(case, tmp_path, capsys):
     assert main([command, "--config", path, "--out", str(out)]) == code
     if code == 2:
         err = capsys.readouterr().err
+        assert err.count("\n") == 1    # one error line, no traceback
         assert "category=config" in err and _CONFIG_REASONS.get(case, "") in err
         assert not out.exists()
     else:

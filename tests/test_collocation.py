@@ -74,7 +74,7 @@ class TestProblemValidation:
     def test_system_without_equilibrium_rejected(self):
         with pytest.raises(ConfigurationError, match="equilibrium"):
             CollocationProblem(
-                system=SystemDef("transport", 1, np.ones_like, None, equilibrium=None), lam=1.0,
+                system=SystemDef("transport", 1, np.ones_like, equilibrium=None), lam=1.0,
                 kernel=make_kernel("gaussian", gamma=1.0),
                 points=[[0.1]], anchor_target=[1.0],
             )

@@ -64,14 +64,18 @@ def test_dimension_mismatch_rejected(poly):
 
 
 def test_system_name_parsing():
+    # the parsed arguments reach the field: E = [[0, 1], [-beta, -delta]]
     s = dyn.make_system("duffing(0.3, -1, 2.5)")
-    assert s.params == {"delta": 0.3, "beta": -1.0, "alpha": 2.5}
+    np.testing.assert_array_equal(dyn.linearize(s).jacobian, [[0.0, 1.0], [1.0, -0.3]])
     s2 = dyn.make_system("linear_test(1, -2)")
-    assert s2.params == {"a": 1.0, "b": -2.0}
+    np.testing.assert_array_equal(dyn.linearize(s2).jacobian, [[1.0, 0.0], [0.0, -2.0]])
     with pytest.raises(ConfigurationError):
         dyn.make_system("no_such_system")
     with pytest.raises(ConfigurationError):
         dyn.make_system("duffing(fast)")
+    for name, i in [("linear_test(nan, -2)", 1), ("duffing(0.5, -1, -inf)", 3)]:
+        with pytest.raises(ConfigurationError, match=f"argument {i} of system .* is not finite"):
+            dyn.make_system(name)
 
 
 # ----------------------------------------------------------------------------
@@ -113,7 +117,6 @@ def test_complex_spectrum_rejected():
     rot = dyn.SystemDef(
         "rotation", 2,
         lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1),
-        lambda x: np.array([[0.0, -1.0], [1.0, 0.0]]),
         equilibrium=np.zeros(2),
     )
     with pytest.raises(UnsupportedSpectrumError):
@@ -127,13 +130,80 @@ def test_repeated_spectrum_rejected():
 
 def test_advection_has_no_linearization():
     with pytest.raises(ConfigurationError):
-        dyn.linearize(dyn.SystemDef("transport", 1, np.ones_like, None, equilibrium=None))
+        dyn.linearize(dyn.SystemDef("transport", 1, np.ones_like, equilibrium=None))
 
 
-def test_equilibrium_without_jacobian_rejected(poly):
-    bare = dyn.SystemDef("poly2d_bare", 2, poly.f, None, equilibrium=np.zeros(2))
-    with pytest.raises(ConfigurationError, match="'poly2d_bare' has no Jacobian"):
-        dyn.linearize(bare)
+# exact Jacobians of the built-ins at their equilibrium x* = 0, default parameters
+_EXACT_E = {
+    "cubic1d": [[1.0]],
+    "poly2d": [[-1.0, 0.0], [0.0, 3.0]],
+    "duffing": [[0.0, 1.0], [1.0, -0.5]],
+    "linear_test": [[-1.0, 0.0], [0.0, -2.0]],
+}
+
+
+@pytest.mark.parametrize("name", dyn.builtin_system_names())
+def test_builtin_jacobian_is_exact(name):
+    np.testing.assert_array_equal(dyn.linearize(dyn.make_system(name)).jacobian,
+                                  _EXACT_E[name])
+
+
+def _poly2d_jacobian(X):
+    x1, x2 = X[:, 0], X[:, 1]
+    u = x1 - x2 ** 2
+    f2 = 3.0 * x2 - 5.0 * u ** 2
+    df2 = np.stack([-10.0 * u, 3.0 + 20.0 * u * x2], axis=-1)
+    df1 = np.stack([-1.0 + 2.0 * x2 * df2[:, 0],
+                    2.0 * x2 + 2.0 * f2 + 2.0 * x2 * df2[:, 1]], axis=-1)
+    return np.stack([df1, df2], axis=1)
+
+
+def _duffing_jacobian(X, delta=0.5, beta=-1.0, alpha=1.0):
+    J = np.zeros((len(X), 2, 2))
+    J[:, 0, 1] = 1.0
+    J[:, 1, 0] = -beta - 3.0 * alpha * X[:, 0] ** 2
+    J[:, 1, 1] = -delta
+    return J
+
+
+@pytest.mark.parametrize("name, jacobian", [
+    ("poly2d", _poly2d_jacobian),
+    ("duffing", _duffing_jacobian),
+    ("duffing(0.3, -1, 2.5)", lambda X: _duffing_jacobian(X, 0.3, -1.0, 2.5)),
+])
+def test_complex_step_jacobian_matches_closed_form(name, jacobian):
+    sys = dyn.make_system(name)
+    X = np.random.default_rng(7).uniform(-1.5, 1.5, (50, 2))
+    F, J = dyn._value_and_grad(sys.f, X)
+    assert J.shape == (50, 2, 2)
+    np.testing.assert_array_equal(F, sys.f(X))
+    # relative to the Jacobian's scale: an entry like 1 - 7.5 x1^2 cancels
+    exact = jacobian(X)
+    np.testing.assert_allclose(J, exact, rtol=0, atol=1e-14 * np.max(np.abs(exact)))
+
+
+def test_offset_equilibrium_rejected(poly):
+    off = dyn.SystemDef("poly2d_offset", 2, poly.f, equilibrium=np.array([0.1, 0.0]))
+    with pytest.raises(ConfigurationError, match="'poly2d_offset' is not a zero of f"):
+        dyn.linearize(off)
+
+
+def test_non_finite_jacobian_rejected():
+    blowup = dyn.SystemDef("blowup", 1, lambda x: np.inf * x, equilibrium=np.zeros(1))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ConfigurationError, match="'blowup' has a non-finite Jacobian"):
+        dyn.linearize(blowup)
+
+
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+def test_field_cast_to_float_rejected():
+    # a float cast drops the complex-step probe, which would read as E = 0
+    def f(x):
+        return -np.asarray(x, dtype=float)
+
+    cast = dyn.SystemDef("cast", 1, f, equilibrium=np.zeros(1))
+    with pytest.raises(ConfigurationError, match="f returned real values"):
+        dyn.linearize(cast)
 
 
 def test_eigenpair_lookup(duffing):
@@ -175,8 +245,7 @@ def test_nonlinear_part_of_linear_system_vanishes():
     np.testing.assert_allclose(dyn.nonlinear_part(sys, lin, X), 0.0, atol=1e-12)
     # f(x) = A (x - c): the linearization is taken about the shifted equilibrium
     A, c = np.array([[0.7, 0.2], [0.0, -1.3]]), np.array([1.5, -2.0])
-    shifted = dyn.SystemDef("shifted_linear", 2, lambda x: (x - c) @ A.T,
-                            lambda x: A, equilibrium=c)
+    shifted = dyn.SystemDef("shifted_linear", 2, lambda x: (x - c) @ A.T, equilibrium=c)
     np.testing.assert_allclose(
         dyn.nonlinear_part(shifted, dyn.linearize(shifted), X), 0.0, atol=1e-12
     )
@@ -205,7 +274,7 @@ def test_flow_fixed_point(duffing):
 
 
 def test_flow_scalar_exponential():
-    sys = dyn.SystemDef("decay", 1, lambda x: -x, None, equilibrium=np.zeros(1))
+    sys = dyn.SystemDef("decay", 1, lambda x: -x, equilibrium=np.zeros(1))
     cfg = dyn.IntegratorConfig.from_horizon(1.0, 1000)
     end = dyn.flow(sys, np.array([1.0]), cfg)
     assert abs(end[0] - np.exp(-1.0)) <= 1e-8
@@ -263,7 +332,7 @@ def test_semigroup_property():
 
 
 def test_rk4_is_fourth_order():
-    sys = dyn.SystemDef("decay", 1, lambda x: -x, None, equilibrium=np.zeros(1))
+    sys = dyn.SystemDef("decay", 1, lambda x: -x, equilibrium=np.zeros(1))
 
     def err(dt):
         M = int(round(1.0 / dt))
@@ -276,7 +345,7 @@ def test_rk4_is_fourth_order():
 
 @pytest.mark.parametrize("rate", [-1.5, 2.0])
 def test_linear_growth_is_the_flows_factor(rate):
-    sys = dyn.SystemDef("scale", 1, lambda x: rate * x, None, equilibrium=np.zeros(1))
+    sys = dyn.SystemDef("scale", 1, lambda x: rate * x, equilibrium=np.zeros(1))
     cfg = dyn.IntegratorConfig(dt=0.01, M=250)
     end = dyn.flow(sys, np.array([1.0]), cfg)[0]
     assert end == pytest.approx(cfg.linear_growth(rate), rel=1e-13)
