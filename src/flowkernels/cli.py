@@ -27,7 +27,7 @@ from .dynamics import _CLOSED_FORMS, builtin_system_names, linearize, make_syste
 from .errors import ConfigurationError, FlowEscapeError, NumericalError, count
 from .grids import tensor_grid
 from .kernels import make_kernel
-from .mkl import MKLConfig, kernel_label, mkl_solve, pruned_mixture, refit_pruned, sparsify
+from .mkl import MKLConfig, mkl_solve, pruned_mixture, refit_pruned, sparsify
 from .path_integral import XiEvaluator, residual_values
 from .spectral import mercer_decompose
 

@@ -138,14 +138,14 @@ def _kernel_gradients(kernel: Kernel, x: np.ndarray, C: np.ndarray) -> np.ndarra
 
 
 def residual_rows(kernel: Kernel, F: np.ndarray, lam: float, X: np.ndarray, C: np.ndarray):
-    """A function of a row slice s giving (B[s], K[s]) of one kernel on the
-    points X, with F = f(X), for the basis points C: the residual matrix
-    B = D - lam K is formed inside the block, so a fill that keeps only B
-    holds no (N, M) Gram matrix."""
+    """A function of a row slice s, and of a memo shared with other kernels,
+    giving (B[s], K[s]) of one kernel on the points X, with F = f(X), for the
+    basis points C.  The one place B = D - lam K is formed: inside the block,
+    so a fill that keeps only B holds no (N, M) Gram matrix."""
     block = kernel._block(X, C, F)
 
-    def rows(s):
-        K, B = block(s)
+    def rows(s, memo=None):
+        K, B = block(s, memo)
         B -= lam * K
         return B, K
 
@@ -361,12 +361,12 @@ def gradient_at(solution: Solution, x) -> np.ndarray:
 
 
 def residual_field(solution: Solution, probes) -> np.ndarray:
-    """Pointwise PDE residual f . grad(phi) - lam * phi on probes."""
+    """Pointwise PDE residual f . grad(phi) - lam * phi on probes, as B @ coef."""
     P = np.atleast_2d(np.asarray(probes, dtype=float))
     prob = solution.problem
     C, coef = _expansion(solution)
-    K, D = prob.kernel.directional_pairwise(P, eval_field(prob.system, P), C)
-    return D @ coef - prob.lam * (K @ coef)
+    rows = residual_rows(prob.kernel, eval_field(prob.system, P), prob.lam, P, C)
+    return _fill_rows(rows, np.empty((len(P), len(C))))[0] @ coef
 
 
 def rescale_rmse(learned, reference):

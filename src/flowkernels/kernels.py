@@ -95,17 +95,17 @@ def _memo(memo, key, make):
     return memo[key]
 
 
-def _bank_rows(kernels, X, Y, F=None):
-    """A function of a row slice s yielding each kernel's parts, (K[s],) or
-    (K[s], D[s]) given directions F, one kernel at a time in bank order.
+def _bank_rows(blocks):
+    """A function of a row slice s yielding each block function's parts for
+    s, one block at a time in bank order: (K[s],) or (K[s], D[s]) for a
+    kernel's ``_block``, or whatever a function wrapping one returns.
 
-    The kernels' blocks share one memo per slice, so each geometry and each
+    The blocks share one memo per slice, so each geometry and each
     polynomial power is computed once per slice whatever the number of
     kernels using it, with the bits of each kernel's own fill.  A K part
     may be a memo array that serves a later kernel too, so it is read-only;
     D parts are new arrays.
     """
-    blocks = [k._block(X, Y, F) for k in kernels]
 
     def rows(s, memo=None):
         memo = {} if memo is None else memo
@@ -438,7 +438,7 @@ class KernelMixture(Kernel):
         return _bank_sum(self.weights, (c.eval(x, y) for c in self.components))
 
     def _block(self, X, Y, F=None):
-        rows = _bank_rows(self.components, X, Y, F)
+        rows = _bank_rows([c._block(X, Y, F) for c in self.components])
 
         def block(s, memo=None):
             # the components' K rows, and their D rows, each summed as _bank_sum does

@@ -18,10 +18,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .collocation import (
-    CollocationProblem, PenaltyConfig, Solution, _matvec, _normal_equations,
-    _reference_fit, _solve_spd, solve,
+    CollocationProblem, PenaltyConfig, Solution, _kernel_gradients, _matvec,
+    _normal_equations, _reference_fit, _solve_spd, residual_rows, solve,
 )
-from .dynamics import SystemDef, eval_field, linearize
+from .dynamics import SystemDef, eval_field
 from .errors import ConfigurationError, NumericalError, count
 from .kernels import (
     CauchyKernel,
@@ -117,26 +117,16 @@ class MKLResult:
 
 def _per_kernel_blocks(system, lam, points, anchor_point, kernels):
     """Stacked residual matrices and anchor gradients, one slab per base
-    kernel, both filled by the bank's shared row function.  The residual
-    slabs go a block of rows at a time: each kernel's B = D - lam K, formed
-    as collocation's ``residual_rows`` forms it, goes into its slab before
-    the next kernel's rows are made.  The anchor gradients are formed as
-    collocation's ``_kernel_gradients`` forms them: d copies of the anchor,
-    with the axes as directions.  The mixture versions are beta-linear
-    combinations of these; no Gram matrix is kept."""
+    kernel: each kernel's collocation ``residual_rows`` and
+    ``_kernel_gradients``.  The residual slabs go a block of rows at a time,
+    the kernels sharing each block's geometry, and each kernel's B goes into
+    its slab before the next kernel's rows are made.  The mixture versions
+    are beta-linear combinations of these; no Gram matrix is kept."""
     F = eval_field(system, points)
-    (n, d), L = points.shape, len(kernels)
-    Bs, G0s = np.empty((L, n, n)), np.empty((L, d, n))
-    rows = _bank_rows(kernels, points, points, F)
-
-    def residuals(s):
-        for K, B in rows(s):
-            B -= lam * K
-            yield B
-
-    _fill_rows(residuals, *Bs)
-    grads = _bank_rows(kernels, np.repeat(anchor_point[None, :], d, 0), points, np.eye(d))
-    _fill_rows(lambda s: (D for _, D in grads(s)), *G0s)
+    rows = _bank_rows([residual_rows(k, F, lam, points, points) for k in kernels])
+    Bs = np.empty((len(kernels), len(points), len(points)))
+    _fill_rows(lambda s: (B for B, _ in rows(s)), *Bs)
+    G0s = np.stack([_kernel_gradients(k, anchor_point, points) for k in kernels])
     return Bs, G0s
 
 
@@ -204,13 +194,15 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
     test max|g| <= cfg.gtol stopped it.  Deterministic: the inner solves
     are exact and nothing is random, so it takes no seed.
     """
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    lin = linearize(system)
-    lam, w = lin.eigenpair(lam)
-    anchor = np.asarray(system.equilibrium, dtype=float)
     kernels = cfg.base_kernels
-    (n, d), L = X.shape, len(kernels)
-    Bs, G0s = _per_kernel_blocks(system, lam, X, anchor, kernels)
+    L = len(kernels)
+    # the problem at theta = 0 gives the checked points, the eigenpair and x*
+    uniform = KernelMixture(kernels, np.full(L, 1 / L))
+    prob = CollocationProblem.for_eigenvalue(system, lam, uniform, points,
+                                             PenaltyConfig(eta=cfg.eta, mu_grad=cfg.mu_grad))
+    X, w = prob.points, prob.anchor_target
+    n, d = X.shape
+    Bs, G0s = _per_kernel_blocks(system, prob.lam, X, prob.anchor_point, kernels)
 
     def objective(theta):
         v = np.exp(theta)
@@ -273,8 +265,6 @@ def refit_pruned(system: SystemDef, lam: float, points, mixture: KernelMixture,
                  reference: Optional[Callable] = None, eta: float = PenaltyConfig.eta,
                  mu_grad: float = PenaltyConfig.mu_grad) -> Solution:
     """Plain collocation solve with a pruned mixture kernel."""
-    if not len(mixture.components):
-        raise NumericalError("degenerate pruned model: empty mixture")
     prob = CollocationProblem.for_eigenvalue(
         system, lam, mixture, points,
         penalties=PenaltyConfig(eta=eta, mu_grad=mu_grad),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +48,16 @@ class MercerDecomposition:
         return (self.modes * self.eigenvalues) @ self.modes.T
 
 
+def _grid_weights(weights, n: int) -> np.ndarray:
+    """Uniform 1/n weights, or the given ones: positive, finite, n of them."""
+    if weights is None and n == 0:
+        raise ConfigurationError("need weights or a nonempty grid")
+    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float).ravel()
+    if w.shape != (n,) or not np.all((0 < w) & (w < np.inf)):
+        raise ConfigurationError("weights must be positive, finite and match the grid size")
+    return w
+
+
 def mercer_decompose(kernel, grid=None, weights=None) -> MercerDecomposition:
     """Weighted discrete Mercer decomposition.
 
@@ -57,7 +67,7 @@ def mercer_decompose(kernel, grid=None, weights=None) -> MercerDecomposition:
     negative eigenvalues (within 1e-8 of the top one, relatively) are
     clipped to zero; anything more negative marks the decomposition
     indefinite and raises a warning, since genuinely indefinite kernels
-    are legitimate inputs here.
+    are legitimate inputs here.  A non-finite entry is a NumericalError.
     """
     if isinstance(kernel, Kernel):
         if grid is None:
@@ -67,10 +77,10 @@ def mercer_decompose(kernel, grid=None, weights=None) -> MercerDecomposition:
         K = np.array(kernel, dtype=float)   # a copy: K is weighted in place below
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ConfigurationError("precomputed Gram matrix must be square")
+    if not np.all(np.isfinite(K)):
+        raise NumericalError("Gram matrix contains non-finite entries")
     n = K.shape[0]
-    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float).ravel()
-    if w.shape != (n,) or not np.all((0 < w) & (w < np.inf)):
-        raise ConfigurationError("weights must be positive, finite and match the grid size")
+    w = _grid_weights(weights, n)
 
     sw = np.sqrt(w)
     K *= sw[:, None]
@@ -133,13 +143,11 @@ def koopman_mode_check(eigenfunction_values, weights=None) -> ModeCheckReport:
     if vals.size == 0:
         vals = vals.reshape(0, 0 if weights is None else len(weights))
     m, n = vals.shape
-    if weights is None:
-        if n == 0:
-            raise ConfigurationError("need weights or nonempty eigenfunction values")
-        weights = np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float).ravel()
-    if m > len(w):
+    w = _grid_weights(weights, n)
+    if m > n:
         raise ConfigurationError("more eigenfunctions than grid points")
+    if not np.all(np.isfinite(vals)):
+        raise ConfigurationError("eigenfunction values must be finite")
 
     phi = _orthonormalize_weighted(vals, w)
     K = phi.T @ phi

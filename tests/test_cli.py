@@ -200,6 +200,20 @@ class TestExitCodes:
         assert "category=numerical" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_non_finite_gram_matrix_is_3(self, tmp_path, capsys):
+        # (x y + 1e100)^6 overflows, so the Mercer decomposition has no
+        # finite matrix to decompose
+        huge = _edit(_edit(MERCER_INI, "family = gaussian\ngamma = 1",
+                           "family = polynomial\ndegree = 6\ncoef0 = 1e100"),
+                     "bounds = -1:1, -1:1\ncounts = 9, 9", "bounds = -1:1\ncounts = 5")
+        path = write_config(tmp_path, huge)
+        with np.errstate(over="ignore"):
+            assert main(["mercer", "--config", path, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "category=numerical" in err and "non-finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not list(tmp_path.glob("gauss_modes_*.csv"))
+
     def test_singular_normal_matrix_is_3(self, tmp_path, capsys):
         # a unit gaussian on 441 points needs more than 441 // 16 greedy
         # centers, so phi stays expanded on all points; without the ridge

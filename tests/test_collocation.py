@@ -493,6 +493,26 @@ class TestRescaleRmse:
 
 
 class TestResidualField:
+    @pytest.mark.parametrize("family, hyper, n, on_centers", [
+        ("exponential", {"gamma": 1.0}, 11, False),
+        ("gaussian", {"gamma": 1.0}, 11, False),
+        ("polynomial", {"degree": 2, "coef0": 1.0}, 21, True),
+    ], ids=["exponential_full", "gaussian_full", "polynomial_centers"])
+    def test_is_the_assembled_residual(self, family, hyper, n, on_centers):
+        # one definition of B = D - lam K: on the collocation points the
+        # residual field is the solve's own B times its coefficients
+        prob = CollocationProblem.for_eigenvalue(
+            make_system("poly2d"), 3.0, make_kernel(family, **hyper),
+            tensor_grid([(-1, 1), (-1, 1)], n),
+        )
+        sol = solve(prob)
+        assert (sol.centers is not None) == on_centers
+        coef = sol.alpha if sol.centers is None else sol.alpha[sol.centers]
+        res = residual_field(sol, prob.points)
+        assert np.array_equal(res, assemble(prob, sol.centers).B @ coef)
+        assert float(np.sqrt(np.mean(res * res))) == pytest.approx(sol.residual_norm,
+                                                                   rel=1e-12)
+
     def test_exact_span_residuals_vanish(self):
         prob = CollocationProblem.for_eigenvalue(
             make_system("linear_test"), -1.0, first_coordinate_kernel(),

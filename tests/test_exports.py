@@ -1,6 +1,9 @@
-"""Public API: every exported name resolves."""
+"""Public API: every exported name resolves, and no module imports a name
+it never uses."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -17,3 +20,23 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+SOURCES = sorted(p for p in pathlib.Path(flowkernels.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    assert unused == []

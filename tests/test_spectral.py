@@ -85,6 +85,12 @@ class TestMercerDecompose:
             mercer_decompose(np.eye(3), weights=[np.nan, 1.0, 1.0])
         with pytest.raises(ConfigurationError):
             mercer_decompose(np.ones((3, 4)))
+        with pytest.raises(ConfigurationError, match="nonempty grid"):
+            mercer_decompose(np.zeros((0, 0)))   # no points to weigh uniformly
+
+    def test_non_finite_gram_is_numerical(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            mercer_decompose(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     def test_peaks_at_about_two_matrices(self):
         # the Gram matrix is freed once eigh returns, and the modes are scaled
@@ -124,6 +130,16 @@ class TestKoopmanModeCheck:
         v = REFS[-1.0](GRID2)
         with pytest.raises(ConfigurationError, match="rank deficient"):
             koopman_mode_check(np.stack([v, 2.0 * v]))
+
+    @pytest.mark.parametrize("vals, weights", [([[1.0, 2.0, 3.0, 4.0]], np.full(5, 0.2)),
+                                               ([[1.0, 2.0, 3.0, 4.0]], np.full(4, -0.25)),
+                                               ([[1.0, np.nan, 3.0, 4.0]], None)],
+                             ids=["wrong_length", "negative", "nan_values"])
+    def test_bad_input_is_a_configuration_error(self, vals, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError):
+                koopman_mode_check(vals, weights=weights)
 
     def test_angle_detects_rotated_span(self):
         # compare span{a} against a kernel built from a vector at 30 degrees
