@@ -8,12 +8,12 @@ magnitude no matter how the scalar normalization is chosen.
 """
 
 from flowkernels import CollocationProblem, PenaltyConfig, make_kernel, make_system, solve
-from flowkernels.dynamics import _CLOSED_FORMS
+from flowkernels.dynamics import reference_eigenfunction
 from flowkernels.grids import tensor_grid
 
 system = make_system("cubic1d")
 X = tensor_grid([(-0.99, 0.99)], [199])
-reference = _CLOSED_FORMS["cubic1d", 1.0]
+reference = reference_eigenfunction("cubic1d", 1.0)
 
 penalties = PenaltyConfig(boundary=True)   # trace and layer weights 1e2 on X's boundary points
 

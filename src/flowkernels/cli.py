@@ -7,7 +7,7 @@ metrics file.  The config actually used is archived next to the outputs
 so every artifact directory is self-describing.
 
 Exit codes: 0 success, 2 config error, 4 flow blow-up, 3 any other
-numerical or IO failure.
+numerical (floating-point faults included) or IO failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import __version__
 from .advection import AdvectionProblem, QuadratureRule, unification_check
 from .collocation import CollocationProblem, PenaltyConfig, solve
 from .config import COMMANDS, SCHEMA_VERSION, ExperimentConfig, preset, preset_names
-from .dynamics import _CLOSED_FORMS, builtin_system_names, linearize, make_system
+from .dynamics import builtin_system_names, linearize, make_system, reference_eigenfunction
 from .errors import ConfigurationError, FlowEscapeError, NumericalError, count
 from .grids import tensor_grid
 from .kernels import make_kernel
@@ -87,12 +87,6 @@ def write_metrics(path, entries: Dict[str, object]) -> None:
 
 # ---------------------------------------------------------------------------
 # shared pieces
-
-
-def _reference_for(system_name: str, lam: float):
-    """Closed-form eigenfunction for the built-ins that have one, else None."""
-    return next((fn for (name, rate), fn in _CLOSED_FORMS.items()
-                 if name == system_name and abs(lam - rate) <= 1e-9), None)
 
 
 def _resolve_lam(cfg: ExperimentConfig, lin) -> float:
@@ -197,7 +191,7 @@ def _run_solve(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     )
     prob.kernel.eval(X, X)    # a kernel invalid on the grid fails before the archive
     _archive(cfg, outdir)
-    ref = _reference_for(system.name, prob.lam)
+    ref = reference_eigenfunction(system.name, prob.lam)
     sol = solve(prob, reference=ref)
     _write_solution(outdir / f"{cfg.name}_solution.csv", X, sol, ref)
 
@@ -229,7 +223,7 @@ def _run_mkl(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
     mcfg = MKLConfig(**_settings(cfg, "penalties", MKLConfig, "eta", "mu_grad"),
                      **_settings(cfg, "mkl", MKLConfig, "tau", "max_iter", "gtol"))
     _archive(cfg, outdir)
-    ref = _reference_for(system.name, lam)
+    ref = reference_eigenfunction(system.name, lam)
     result = sparsify(mkl_solve(system, lam, X, mcfg, reference=ref))
 
     pruned_empty = result.pruned_beta.size == 0
@@ -433,14 +427,16 @@ def _fail(category: str, exc: Exception) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        # a float fault raises where it happens; underflow stays quiet (Gaussian tails)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _dispatch(args)
     except FlowEscapeError as exc:
         _fail("flow-escape", exc)
         return 4
     except ConfigurationError as exc:
         _fail("config", exc)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         _fail("numerical", exc)
         return 3
     except OSError as exc:

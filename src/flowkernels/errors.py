@@ -30,15 +30,13 @@ class FlowEscapeError(NumericalError):
         the state norm exceeded the radius.
     """
 
-    def __init__(self, escape_time: float, radius: float, message: str | None = None):
+    def __init__(self, escape_time: float, radius: float):
         self.escape_time = float(escape_time)
         self.radius = float(radius)
-        if message is None:
-            message = (
-                f"trajectory escaped |x| > {radius:g} at t = {escape_time:.6g}; "
-                "shrink the horizon or move the initial condition"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"trajectory escaped |x| > {radius:g} at t = {escape_time:.6g}; "
+            "shrink the horizon or move the initial condition"
+        )
 
 
 class DimensionMismatchError(ConfigurationError):

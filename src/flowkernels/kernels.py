@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .dynamics import _CLOSED_FORMS, _value_and_grad
+from .dynamics import _value_and_grad, reference_eigenfunction
 from .errors import ConfigurationError, count, positive
 
 __all__ = [
@@ -468,7 +468,7 @@ def _singular_1d() -> RankOneKernel:
         if bad.size:
             raise ConfigurationError(f"singular_1d kernel is defined on |x| < 1 only: "
                                      f"point index {bad[0]}, x={x.reshape(-1, 1)[bad[0]]}")
-        return _CLOSED_FORMS["cubic1d", 1.0](x)
+        return reference_eigenfunction("cubic1d", 1.0)(x)
 
     kernel = RankOneKernel(p)
     kernel.family = "singular_1d"

@@ -116,28 +116,12 @@ class ModeCheckReport:
     subspace_angle: float       # radians between Mercer modes and input span
 
 
-def _orthonormalize_weighted(values: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt under the weighted inner product; rows in, rows out."""
-    out = []
-    for i, v in enumerate(values):
-        u = v.astype(float).copy()
-        for q in out:
-            u -= np.sum(w * u * q) * q
-        norm = np.sqrt(np.sum(w * u * u))
-        if norm <= 1e-10 * max(1.0, np.sqrt(np.sum(w * v * v))):
-            raise ConfigurationError(
-                f"eigenfunction values are rank deficient on the grid (row {i})"
-            )
-        out.append(u / norm)
-    return np.array(out) if out else np.empty((0, len(w)))
-
-
 def koopman_mode_check(eigenfunction_values, weights=None) -> ModeCheckReport:
     """Finite-rank spectrum test.
 
-    Orthonormalizes the supplied eigenfunction values under the weighted
-    inner product, forms the rank-m kernel sum of their outer products,
-    and verifies its discrete Mercer spectrum is m ones followed by zeros.
+    Orthonormalizes the values under the weighted inner product (one QR in
+    the sqrt(w) coordinates), forms the rank-m kernel sum of their outer
+    products, and verifies its discrete Mercer spectrum is m ones then zeros.
     """
     vals = np.atleast_2d(np.asarray(eigenfunction_values, dtype=float))
     if vals.size == 0:
@@ -149,9 +133,14 @@ def koopman_mode_check(eigenfunction_values, weights=None) -> ModeCheckReport:
     if not np.all(np.isfinite(vals)):
         raise ConfigurationError("eigenfunction values must be finite")
 
-    phi = _orthonormalize_weighted(vals, w)
-    K = phi.T @ phi
-    dec = mercer_decompose(K, weights=w)
+    sw = np.sqrt(w)[:, None]
+    Q, R = np.linalg.qr(vals.T * sw)
+    # |R_ii| is the w-norm of row i orthogonal to rows 0..i-1; flat when ~0
+    flat = np.abs(np.diag(R)) <= 1e-10 * np.maximum(1.0, np.linalg.norm(R, axis=0))
+    if np.any(flat):
+        raise ConfigurationError("eigenfunction values are rank deficient on the grid "
+                                 f"(row {np.argmax(flat)})")
+    dec = mercer_decompose((Q / sw) @ (Q / sw).T, weights=w)
     mu = dec.eigenvalues
     dev = max(float(np.max(np.abs(mu[:m] - 1.0), initial=0.0)),
               float(np.max(np.abs(mu[m:]), initial=0.0)))
@@ -159,9 +148,9 @@ def koopman_mode_check(eigenfunction_values, weights=None) -> ModeCheckReport:
     # largest principal angle between the Mercer top-m modes and the input
     # span, via the projection residual (arcsin form stays accurate near 0,
     # where arccos of an overlap singular value loses half the digits)
-    psi = dec.modes[:, :m]
-    resid = psi - phi.T @ (phi @ (w[:, None] * psi))
-    s2 = np.linalg.eigvalsh(resid.T @ (w[:, None] * resid)).max(initial=0.0)
+    psi = sw * dec.modes[:, :m]
+    resid = psi - Q @ (Q.T @ psi)
+    s2 = np.linalg.eigvalsh(resid.T @ resid).max(initial=0.0)
     angle = float(np.arcsin(np.sqrt(min(s2, 1.0))))
     return ModeCheckReport(m=m, eigenvalues=mu, spectrum_deviation=dev, subspace_angle=angle)
 

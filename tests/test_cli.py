@@ -114,6 +114,21 @@ grid_n = 4
 rule_n = 101
 """
 
+HUGE_POLY_INI = """
+[experiment]
+name = huge_poly
+command = mercer
+
+[kernel]
+family = polynomial
+degree = 6
+coef0 = 1e100
+
+[grid]
+bounds = -1:1
+counts = 5
+"""
+
 
 # -- config round trip -------------------------------------------------------
 
@@ -194,25 +209,20 @@ class TestExitCodes:
 
     def test_numerical_failure_is_3(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_LAM_INI)
-        with np.errstate(over="ignore"):
-            assert main(["unify", "--config", path, "--out", str(tmp_path)]) == 3
+        assert main(["unify", "--config", path, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "category=numerical" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_non_finite_gram_matrix_is_3(self, tmp_path, capsys):
-        # (x y + 1e100)^6 overflows, so the Mercer decomposition has no
-        # finite matrix to decompose
-        huge = _edit(_edit(MERCER_INI, "family = gaussian\ngamma = 1",
-                           "family = polynomial\ndegree = 6\ncoef0 = 1e100"),
-                     "bounds = -1:1, -1:1\ncounts = 9, 9", "bounds = -1:1\ncounts = 5")
-        path = write_config(tmp_path, huge)
-        with np.errstate(over="ignore"):
-            assert main(["mercer", "--config", path, "--out", str(tmp_path)]) == 3
+        # (x y + 1e100)^6 overflows in the kernel's check on the grid, which
+        # runs before the config is archived
+        path = write_config(tmp_path, HUGE_POLY_INI)
+        assert main(["mercer", "--config", path, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert "category=numerical" in err and "non-finite" in err
+        assert "category=numerical" in err and "overflow" in err
         assert len(err.strip().splitlines()) == 1
-        assert not list(tmp_path.glob("gauss_modes_*.csv"))
+        assert not list(tmp_path.glob("huge_poly_*"))
 
     def test_singular_normal_matrix_is_3(self, tmp_path, capsys):
         # a unit gaussian on 441 points needs more than 441 // 16 greedy
@@ -602,6 +612,16 @@ class TestDeterminism:
         np.testing.assert_array_equal(phi, direct)
 
 
+def _src_env():
+    """This checkout's src first on PYTHONPATH, Python's default warning filters."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         proc = subprocess.run(
@@ -614,13 +634,26 @@ class TestModuleEntryPoint:
     def test_import_loads_no_scipy_optimize(self):
         # scipy.optimize's import was about a quarter second of every run's
         # start-up; the MKL optimizer is numpy
-        root = pathlib.Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
-                                                          env.get("PYTHONPATH")]))
         code = ("import sys, flowkernels.cli\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command, text, writes", [("mercer", HUGE_POLY_INI, False),
+                                                       ("unify", TINY_LAM_INI, True)],
+                             ids=["overflow", "tiny_lam"])
+    def test_floating_point_fault_is_one_stderr_line(self, command, text, writes, tmp_path):
+        # a fresh process has no test warning filter, so a numpy
+        # RuntimeWarning would print its own lines ahead of the error line
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowkernels.cli", command,
+             "--config", write_config(tmp_path, text), "--out", str(out)],
+            env=_src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("flowkernels: error category=numerical ")
+        assert out.exists() == writes    # unify archives its config before the numerics

@@ -361,20 +361,7 @@ def test_flow_escape_raises_with_time(poly):
     with pytest.raises(FlowEscapeError) as err:
         dyn.flow(poly, np.array([0.4, 0.3]), cfg, direction="backward")
     assert 4.0 < err.value.escape_time < 10.0
-
-
-def test_escape_radius_configurable(duffing):
-    cfg = dyn.IntegratorConfig.from_horizon(5.0, 500)
-    with pytest.raises(FlowEscapeError):
-        dyn.flow(duffing, np.array([3.0, 0.0]), cfg, escape_radius=2.0)
-
-
-@pytest.mark.parametrize("radius", [np.nan, 0.0, -1.0])
-def test_escape_radius_validated(duffing, radius):
-    # a bad radius is a config error, not an escape at the first step
-    cfg = dyn.IntegratorConfig.from_horizon(1.0, 10)
-    with pytest.raises(ConfigurationError, match="escape_radius"):
-        dyn.flow(duffing, np.array([0.1, 0.0]), cfg, escape_radius=radius)
+    assert err.value.radius == dyn.DEFAULT_ESCAPE_RADIUS
 
 
 # ----------------------------------------------------------------------------
@@ -398,6 +385,14 @@ def test_characteristic_identity_trivial_cases(poly):
     const = lambda x: 1.0
     r = dyn.characteristic_identity_residual(poly, const, 0.0, np.array([0.2, 0.1]), 0.7, cfg)
     assert r <= 1e-14
+
+
+def test_reference_eigenfunction_matches_the_rate():
+    refs = dyn.poly2d_reference_eigenfunctions()
+    for lam in (-1.0, 3.0):
+        assert dyn.reference_eigenfunction("poly2d", lam + 1e-10) is refs[lam]
+    assert dyn.reference_eigenfunction("poly2d", 3.0 + 1e-8) is None
+    assert dyn.reference_eigenfunction("duffing", -1.0) is None
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

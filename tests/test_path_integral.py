@@ -276,15 +276,33 @@ def test_transport_identity_along_flow(duffing):
     lam = lin.eigenvalues[0]
     ev = pi.XiEvaluator(s, lin, lam, T=10.0, M=4000)
     cfg = dyn.IntegratorConfig(1e-3, 1)
-    rng = np.random.default_rng(9)
-    for _ in range(4):
-        x0 = rng.uniform(-1.0, 1.0, 2)
-        for t in (0.3, 1.0):
-            r = dyn.characteristic_identity_residual(
-                s, lambda z: pi.xi_values(ev, z), lam, x0, t, cfg
-            )
-            xi0 = abs(pi.xi_values(ev, x0))
-            assert r <= 1e-2 * (1.0 + xi0)
+    x0 = np.random.default_rng(9).uniform(-1.0, 1.0, (4, 2))
+    xi0 = np.abs(pi.xi_values(ev, x0))
+    for t in (0.3, 1.0):
+        r = dyn.characteristic_identity_residual(s, ev, lam, x0, t, cfg)
+        assert np.all(r <= 1e-2 * (1.0 + xi0))
+
+
+def test_characteristic_identity_batch_matches_per_state(poly, duffing):
+    # one flow of the whole batch gives each state the bits of its own call
+    # wherever phi does too; xi_values projects a lone state with a dot and a
+    # batch with a matrix-vector product, which can differ in the last bit
+    u = dyn.poly2d_reference_eigenfunctions()[-1.0]
+    s, lin = duffing
+    ev = pi.XiEvaluator(s, lin, lin.eigenvalues[0], T=2.0, M=400)
+    x0 = np.random.default_rng(12).uniform(-0.5, 0.5, (2, 3, 2))
+    cfg = dyn.IntegratorConfig(1e-2, 1)
+    cases = [(poly[0], u, -1.0, 0.0),
+             (s, lambda z: z[..., 0] - z[..., 1] ** 2, ev.lam, 0.0),
+             (s, ev, ev.lam, 1e-14)]
+    for system, phi, lam, rtol in cases:
+        for t in (0.4, -0.3):
+            batch = dyn.characteristic_identity_residual(system, phi, lam, x0, t, cfg)
+            single = [[dyn.characteristic_identity_residual(system, phi, lam, x, t, cfg)
+                       for x in row] for row in x0]
+            assert batch.shape == (2, 3)
+            assert all(type(r) is float for row in single for r in row)
+            np.testing.assert_allclose(batch, single, rtol=rtol, atol=0.0)
 
 
 # ----------------------------------------------------------------------------

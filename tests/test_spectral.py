@@ -127,9 +127,21 @@ class TestKoopmanModeCheck:
         assert np.all(rep.eigenvalues == 0.0)
 
     def test_rank_deficient_rows_rejected(self):
-        v = REFS[-1.0](GRID2)
-        with pytest.raises(ConfigurationError, match="rank deficient"):
-            koopman_mode_check(np.stack([v, 2.0 * v]))
+        # the error names the first dependent row, last or not
+        u, v = REFS[-1.0](GRID2), REFS[3.0](GRID2)
+        for rows in ([u, 2.0 * u], [u, 2.0 * u, v]):
+            with pytest.raises(ConfigurationError, match=r"rank deficient.*\(row 1\)"):
+                koopman_mode_check(np.stack(rows))
+
+    def test_trapezoid_weights_three_functions(self):
+        # non-uniform weights: the 2-D trapezoid rule on the 21 x 21 grid
+        t = np.full(21, 0.1)
+        t[[0, -1]] = 0.05
+        u, v = REFS[-1.0](GRID2), REFS[3.0](GRID2)
+        rep = koopman_mode_check(np.stack([u, v, u * v]), weights=np.outer(t, t).ravel())
+        assert rep.m == 3
+        assert rep.spectrum_deviation <= 1e-12
+        assert rep.subspace_angle <= 1e-12
 
     @pytest.mark.parametrize("vals, weights", [([[1.0, 2.0, 3.0, 4.0]], np.full(5, 0.2)),
                                                ([[1.0, 2.0, 3.0, 4.0]], np.full(4, -0.25)),
