@@ -19,12 +19,17 @@ both bases use the normal equations: QR on the Newton basis cost 10 times
 as much for the same error (README, "Known numerical limitations").
 
 On the full basis, B = D - lam K is formed inside each row block of the
-kernel fill, and the normal matrix is built by scipy's BLAS in the Fortran
-order that LAPACK factors in place, so a solve holds two (N, N) arrays at its
-peak: B and the normal matrix, which becomes its own Cholesky factor.  The
-Gram matrix is filled again for phi = K alpha once both are freed (exponential
-kernel under tracemalloc: 2.03 N^2 doubles at N = 1681, 2.01 N^2 or 212 MiB at
-N = 3721, where holding K as well took 3.01 N^2 or 318 MiB).
+kernel fill, one row panel of at most ``_PANEL_ENTRIES`` entries at a time,
+and the normal matrix is built by scipy's BLAS in the Fortran order that
+LAPACK factors in place: SYRK adds each panel's B.T B to it before the next
+panel is filled.  So a solve holds one (N, N) array, the normal matrix, which
+becomes its own Cholesky factor, and one panel of B.  Up to N = 2896, B is one
+panel: 2.03 N^2 doubles under tracemalloc at N = 1681 (exponential kernel).
+At N = 3721 it is two, and the peak is 1.51 N^2 or 160 MiB, where B held
+whole took 2.01 N^2 and B, K and the normal matrix 3.01 N^2.  The last panel
+is kept through the factorization; the Gram matrix and the other panels'
+rows are then filled again, a panel at a time, for phi = K alpha and the
+residual B alpha.  ``evaluate`` and ``residual_field`` use the same panels.
 
 One BLAS thread pool on the solve path: numpy and scipy each load their own
 OpenBLAS, each with its own threads, and a large product on numpy's pool just
@@ -45,7 +50,7 @@ import scipy.linalg
 from .dynamics import SystemDef, eval_field, linearize
 from .errors import ConfigurationError, NumericalError
 from .grids import boundary_sets
-from .kernels import Kernel, _fill_rows
+from .kernels import Kernel, _fill_rows, _pair
 
 __all__ = [
     "PenaltyConfig",
@@ -152,21 +157,11 @@ def residual_rows(kernel: Kernel, F: np.ndarray, lam: float, X: np.ndarray, C: n
     return rows
 
 
-def assemble(problem: CollocationProblem, centers=None) -> AssembledSystem:
-    """The objective's matrices for phi expanded on all points or on centers;
-    only the centers keep their Gram matrix K(X, C)."""
-    X = problem.points
-    C = X if centers is None else X[centers]
-    kern = problem.kernel
-    rows = residual_rows(kern, eval_field(problem.system, X), problem.lam, X, C)
-    shape = (len(X), len(C))
-    if centers is None:
-        B, K = _fill_rows(rows, np.empty(shape))[0], None
-    else:
-        B, K = _fill_rows(rows, np.empty(shape), np.empty(shape))
+def _penalty_rows(problem: CollocationProblem, C: np.ndarray):
+    """(G0, T, Y) of the objective for the basis points C: the kernel
+    gradients at the anchor, and the kernel rows of the boundary terms."""
+    X, kern, pen = problem.points, problem.kernel, problem.penalties
     G0 = _kernel_gradients(kern, problem.anchor_point, C)
-
-    pen = problem.penalties
     trace, layer = boundary_sets(X) if pen.boundary else (X[:0], X[:0])
     T = np.empty((0, len(C)))
     if pen.mu_trace > 0 and len(trace):
@@ -174,7 +169,21 @@ def assemble(problem: CollocationProblem, centers=None) -> AssembledSystem:
     Y = np.empty((0, len(C)))
     if pen.mu_layer > 0 and len(layer):
         Y = kern.pairwise(layer, C) / np.sqrt(len(layer))
-    return AssembledSystem(B=B, G0=G0, T=T, Y=Y, K=K)
+    return G0, T, Y
+
+
+def assemble(problem: CollocationProblem, centers=None) -> AssembledSystem:
+    """The objective's matrices for phi expanded on all points or on centers;
+    only the centers keep their Gram matrix K(X, C)."""
+    X = problem.points
+    C = X if centers is None else X[centers]
+    rows = residual_rows(problem.kernel, eval_field(problem.system, X), problem.lam, X, C)
+    shape = (len(X), len(C))
+    if centers is None:
+        B, K = _fill_rows(rows, np.empty(shape))[0], None
+    else:
+        B, K = _fill_rows(rows, np.empty(shape), np.empty(shape))
+    return AssembledSystem(B, *_penalty_rows(problem, C), K=K)
 
 
 @dataclass(frozen=True)
@@ -236,12 +245,21 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return scipy.linalg.blas.dgemv(1.0, A.T, x, trans=1)
 
 
-def _normal_equations(B: np.ndarray, eta: float, terms) -> np.ndarray:
+def _normal_equations(panels, eta: float, terms) -> np.ndarray:
     """B.T B / n + eta I + sum of mu M.T M over the (mu, M) pairs in terms,
     accumulated in place in that order (pairs with an empty M skipped) in the
-    lower triangle of a Fortran-ordered array, which LAPACK factors as is."""
-    A = scipy.linalg.blas.dsyrk(1.0, B.T, trans=0, lower=1)
-    A /= B.shape[0]
+    lower triangle of a Fortran-ordered array, which LAPACK factors as is.
+    B comes as its row panels in order: SYRK forms the first panel's B.T B
+    and adds each later one with beta = 1, so a single panel is B.T B."""
+    syrk = scipy.linalg.blas.dsyrk
+    A, n = None, 0
+    for P in panels:
+        if A is None:
+            A = syrk(1.0, P.T, trans=0, lower=1)
+        else:
+            A = syrk(1.0, P.T, beta=1.0, c=A, trans=0, lower=1, overwrite_c=1)
+        n += P.shape[0]
+    A /= n
     A.flat[:: A.shape[0] + 1] += eta
     for mu, M in terms:
         if M.size:
@@ -257,8 +275,51 @@ def _normal_equations(B: np.ndarray, eta: float, terms) -> np.ndarray:
 def normal_matrix(problem: CollocationProblem, asm: AssembledSystem) -> np.ndarray:
     """The normal-equation matrix of the quadratic objective."""
     pen = problem.penalties
-    return _normal_equations(asm.B, pen.eta, [(pen.mu_grad, asm.G0), (pen.mu_trace, asm.T),
-                                             (pen.mu_layer, asm.Y)])
+    return _normal_equations([asm.B], pen.eta, [(pen.mu_grad, asm.G0), (pen.mu_trace, asm.T),
+                                               (pen.mu_layer, asm.Y)])
+
+
+# Entries per row panel of a full-basis B, and of the matrices that evaluate
+# and residual_field fill: one panel while N <= 2896, two at N = 3721.  At
+# N = 3721 (exponential kernel, 2 cores) 2^23 peaks at 1.51 N^2 doubles under
+# tracemalloc, against 2.01 N^2 with B whole, for 0.08 s more per solve;
+# 2^22 (four panels) at 1.26 N^2 for 0.15 s more, and 2^21 (seven) at
+# 1.16 N^2 for 0.3-0.6 s more: every panel but the last is filled again for
+# B alpha and K alpha
+_PANEL_ENTRIES = 1 << 23
+
+
+def _panels(n: int, m: int):
+    """Equal row slices of an (n, m) matrix, as few as keep each within
+    _PANEL_ENTRIES entries."""
+    count = max(1, -(-n * m // _PANEL_ENTRIES))
+    size = max(1, -(-n // count))
+    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
+
+
+def _panel_fill(rows, p: slice, *out):
+    """Rows p of the matrices that the row function rows fills, written into
+    the leading rows of out, with the row blocks of a fill from row p.start."""
+    k = p.stop - p.start
+    return _fill_rows(lambda s: rows(slice(p.start + s.start, min(p.start + s.stop, p.stop))),
+                      *(M[:k] for M in out))
+
+
+def _panel_matvec(rows, n: int, m: int, coef: np.ndarray) -> np.ndarray:
+    """M @ coef for the first (n, m) matrix M that the row function rows fills,
+    one row panel of M at a time."""
+    out, panels = np.empty(n), _panels(n, m)
+    if panels:
+        buf = np.empty((panels[0].stop, m))
+        for p in panels:
+            out[p] = _matvec(_panel_fill(rows, p, buf)[0], coef)
+    return out
+
+
+def _require_finite(*mats):
+    # min and max propagate NaN, so no temporary the size of a matrix is made
+    if not all(np.isfinite(M.min()) and np.isfinite(M.max()) for M in mats if M.size):
+        raise NumericalError("assembled matrices contain non-finite entries")
 
 
 def _reference_fit(phi: np.ndarray, points: np.ndarray, reference):
@@ -293,6 +354,41 @@ def _greedy_centers(kernel: Kernel, X: np.ndarray):
         diag -= V[k] * V[k]
 
 
+def _solve_full(problem: CollocationProblem):
+    """(alpha, B alpha, K alpha, G0) on the full basis, with B = D - lam K
+    filled one row panel at a time into one buffer and each panel added to
+    the normal matrix before the next is filled.  The buffer keeps the last
+    panel through the factorization; afterwards its B rows give their part
+    of B alpha, it takes their K rows for K alpha, and the earlier panels
+    are filled again, B and K at once."""
+    X, kern, pen = problem.points, problem.kernel, problem.penalties
+    n = len(X)
+    G0, T, Y = _penalty_rows(problem, X)
+    _require_finite(G0, T, Y)
+    rows = residual_rows(kern, eval_field(problem.system, X), problem.lam, X, X)
+    panels = _panels(n, n)
+    buf = np.empty((panels[0].stop, n))
+
+    def residual_panels():
+        for p in panels:
+            B = _panel_fill(rows, p, buf)[0]
+            _require_finite(B)
+            yield B
+
+    terms = [(pen.mu_grad, G0), (pen.mu_trace, T), (pen.mu_layer, Y)]
+    alpha = _solve_spd(lambda: _normal_equations(residual_panels(), pen.eta, terms),
+                       pen.mu_grad * G0.T @ problem.anchor_target)
+    r, phi, last = np.empty(n), np.empty(n), panels[-1]
+    r[last] = _matvec(buf[:last.stop - last.start], alpha)
+    phi[last] = _matvec(_panel_fill(kern._block(X, X), last, buf)[0], alpha)
+    if len(panels) > 1:
+        Kbuf = np.empty_like(buf)
+        for p in panels[:-1]:
+            B, K = _panel_fill(rows, p, buf, Kbuf)
+            r[p], phi[p] = _matvec(B, alpha), _matvec(K, alpha)
+    return alpha, r, phi, G0
+
+
 def solve(problem: CollocationProblem, reference: Optional[Callable] = None) -> Solution:
     """Minimize the penalized residual objective.
 
@@ -300,16 +396,15 @@ def solve(problem: CollocationProblem, reference: Optional[Callable] = None) -> 
     collocation points; fills the RMSE diagnostics.
     """
     greedy = _greedy_centers(problem.kernel, problem.points)
-    centers = None if greedy is None else np.array(greedy[1])
-    asm = assemble(problem, centers)
-    if not all(np.all(np.isfinite(m)) for m in (asm.B, asm.G0, asm.T, asm.Y)):
-        raise NumericalError("assembled matrices contain non-finite entries")
-    n = asm.B.shape[0]
     w = problem.anchor_target
     if greedy is None:
-        alpha = coef = _solve_spd(lambda: normal_matrix(problem, asm),
-                                  problem.penalties.mu_grad * asm.G0.T @ w)
+        centers = None
+        alpha, r, phi, G0 = _solve_full(problem)
+        coef = alpha
     else:
+        centers = np.array(greedy[1])
+        asm = assemble(problem, centers)
+        _require_finite(asm.B, asm.G0, asm.T, asm.Y)
         # Newton basis K(X, C) Lc^-T, with K(C, C) = Lc Lc.T: every row block
         # of the objective is mapped by the same triangular factor
         V = greedy[0]
@@ -319,19 +414,16 @@ def solve(problem: CollocationProblem, reference: Optional[Callable] = None) -> 
         beta = _solve_spd(lambda: normal_matrix(problem, newton),
                           problem.penalties.mu_grad * newton.G0.T @ w)
         coef = scipy.linalg.solve_triangular(Lc, beta, lower=True, trans="T")
-        alpha = np.zeros(n)
+        alpha = np.zeros(len(problem.points))
         alpha[centers] = coef
-    residual_norm = float(np.linalg.norm(_matvec(asm.B, coef)) / np.sqrt(n))
-    deriv = asm.G0 @ coef
-    K = asm.K
-    del asm     # frees B before the full basis fills its Gram matrix again for phi
-    phi = _matvec(problem.kernel.pairwise(problem.points) if K is None else K, coef)
+        r, phi, G0 = _matvec(asm.B, coef), _matvec(asm.K, coef), asm.G0
+    deriv = G0 @ coef
     c_star, rmse_rescaled, rmse_raw = _reference_fit(phi, problem.points, reference)
     return Solution(
         alpha=alpha,
         phi=phi,
         problem=problem,
-        residual_norm=residual_norm,
+        residual_norm=float(np.linalg.norm(r) / np.sqrt(len(r))),
         anchor_error=float(np.linalg.norm(deriv - w)),
         derivative_at_anchor=deriv,
         rescale_factor=c_star,
@@ -351,7 +443,8 @@ def evaluate(solution: Solution, probes) -> np.ndarray:
     """phi on probe points from the coefficient expansion."""
     P = np.atleast_2d(np.asarray(probes, dtype=float))
     C, coef = _expansion(solution)
-    return solution.problem.kernel.pairwise(P, C) @ coef
+    P, C = _pair(P, C)
+    return _panel_matvec(solution.problem.kernel._block(P, C), len(P), len(C), coef)
 
 
 def gradient_at(solution: Solution, x) -> np.ndarray:
@@ -366,7 +459,7 @@ def residual_field(solution: Solution, probes) -> np.ndarray:
     prob = solution.problem
     C, coef = _expansion(solution)
     rows = residual_rows(prob.kernel, eval_field(prob.system, P), prob.lam, P, C)
-    return _fill_rows(rows, np.empty((len(P), len(C))))[0] @ coef
+    return _panel_matvec(rows, len(P), len(C), coef)
 
 
 def rescale_rmse(learned, reference):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from flowkernels import collocation
 from flowkernels.collocation import (
     CollocationProblem,
     PenaltyConfig,
@@ -280,9 +281,9 @@ class TestSolve:
         assert np.array_equal(solve(prob).alpha, solve(prob).alpha)
 
     def test_solve_peaks_at_about_two_matrices(self):
-        # B of the assembly and the normal matrix, which the Cholesky
-        # factorization overwrites in place; the Gram matrix for phi is
-        # filled only after both are freed
+        # B, one panel at this size, and the normal matrix, which the
+        # Cholesky factorization overwrites in place; the Gram matrix for
+        # phi is filled into B's buffer once the factor is freed
         prob = CollocationProblem.for_eigenvalue(
             make_system("poly2d"), -1.0, make_kernel("exponential", gamma=1.0),
             tensor_grid([(-1, 1), (-1, 1)], 41),
@@ -341,6 +342,122 @@ class TestSolve:
             assert np.array_equal(gradient_at(sol, prob.anchor_point), sol.derivative_at_anchor)
 
 
+def exponential_41():
+    """The 41 x 41 poly2d problem whose exponential kernel keeps the full basis."""
+    return CollocationProblem.for_eigenvalue(
+        make_system("poly2d"), -1.0, make_kernel("exponential", gamma=1.0),
+        tensor_grid([(-1, 1), (-1, 1)], 41),
+    )
+
+
+def split_rows(monkeypatch, n, m, count):
+    """Make an (n, m) fill take `count` row panels."""
+    monkeypatch.setattr(collocation, "_PANEL_ENTRIES", -(-n * m // count))
+    assert len(collocation._panels(n, m)) == count
+
+
+class TestRowPanels:
+    # the full basis in two or three row panels of B instead of one
+
+    def test_the_panel_rule(self):
+        assert collocation._panels(2896, 2896) == [slice(0, 2896)]
+        assert collocation._panels(3721, 3721) == [slice(0, 1861), slice(1861, 3721)]
+        assert collocation._panels(1000, 6) == [slice(0, 1000)]
+        assert [p.stop - p.start for p in collocation._panels(40000, 3721)] == [2223] * 17 + [2209]
+
+    def test_no_probes_no_panels(self):
+        sol = solve(exponential_41())
+        assert collocation._panels(0, 1681) == []
+        assert evaluate(sol, np.empty((0, 2))).shape == (0,)
+        assert residual_field(sol, np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_peak_is_the_normal_matrix_and_one_panel(self, monkeypatch, count):
+        prob = exponential_41()
+        n = prob.points.shape[0]
+        split_rows(monkeypatch, n, n, count)
+        tracemalloc.start()
+        try:
+            solve(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 1.560 and 1.393 N^2: (1 + 1/count) N^2 plus the fill's blocks
+        assert peak <= 1.6 * n * n * 8
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_panels_add_up_to_the_normal_matrix(self, monkeypatch, count):
+        prob = exponential_41()
+        n = prob.points.shape[0]
+        whole = np.tril(normal_matrix(prob, assemble(prob)))
+        built, solve_spd = [], collocation._solve_spd
+
+        def capture(normal, rhs):
+            built.append(np.tril(normal()))
+            return solve_spd(normal, rhs)
+
+        monkeypatch.setattr(collocation, "_solve_spd", capture)
+        split_rows(monkeypatch, n, n, count)
+        solve(prob)
+        # measured 1.0e-16 of the largest entry
+        assert np.abs(built[0] - whole).max() <= 1e-14 * np.abs(whole).max()
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_phi_and_residual_agree_with_one_panel(self, monkeypatch, count):
+        # the summation order of B.T B moves the last bits of the normal
+        # matrix, which this ill-conditioned solve (eta = 1e-8) amplifies:
+        # measured phi 2.3e-4 and 2.4e-4 of max |phi|, residual_norm 4.6e-5 and
+        # 5.9e-5 relative, alpha 3.2e-4 of max |alpha|, at 2 and 3 panels
+        prob = exponential_41()
+        n = prob.points.shape[0]
+        one = solve(prob)
+        split_rows(monkeypatch, n, n, count)
+        sol = solve(prob)
+        assert sol.centers is None
+        assert np.abs(sol.phi - one.phi).max() <= 1e-3 * np.abs(one.phi).max()
+        assert sol.residual_norm == pytest.approx(one.residual_norm, rel=2e-4)
+        assert sol.anchor_error == pytest.approx(one.anchor_error, rel=1e-3, abs=1e-9)
+
+    def test_non_finite_panel_fails_before_any_factorization(self, monkeypatch):
+        prob = exponential_41()
+        n = prob.points.shape[0]
+        split_rows(monkeypatch, n, n, 2)
+        field = collocation.eval_field
+
+        def nan_in_last_panel(system, X):
+            F = field(system, X)
+            F[-1, 0] = np.nan
+            return F
+
+        factored = []
+        monkeypatch.setattr(collocation, "eval_field", nan_in_last_panel)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", lambda *a, **k: factored.append(1))
+        with pytest.raises(NumericalError, match="non-finite"):
+            solve(prob)
+        assert not factored
+
+    @pytest.mark.parametrize("where", ["evaluate", "residual_field"])
+    def test_probe_fills_hold_one_panel(self, monkeypatch, where):
+        # 8000 probes on the 1681-point full basis: 108 MB whole, 1/64 of
+        # that per panel; measured peaks 0.024 (evaluate) and 0.029 of the
+        # whole matrix, and values within 3.5e-14 and 2.3e-15 of max |value|
+        prob = exponential_41()
+        sol = solve(prob)
+        probes = np.random.default_rng(4).uniform(-1, 1, size=(8000, 2))
+        fn = {"evaluate": evaluate, "residual_field": residual_field}[where]
+        split_rows(monkeypatch, 8000, 1681, 1)
+        whole = fn(sol, probes)
+        split_rows(monkeypatch, 8000, 1681, 64)
+        tracemalloc.start()
+        try:
+            panelled = fn(sol, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8000 * 1681 * 8 / 16
+        np.testing.assert_allclose(panelled, whole, rtol=0, atol=1e-12 * np.abs(whole).max())
+
+
 class TestMatvec:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_equals_the_matrix_product(self, order):
@@ -387,6 +504,9 @@ class TestGreedyCenters:
                            prob.penalties.mu_grad * asm.G0.T @ prob.anchor_target)
         assert sol.n_centers == 441
         assert np.array_equal(sol.alpha, alpha)
+        assert np.array_equal(sol.phi, _matvec(prob.kernel.pairwise(prob.points), alpha))
+        residual = np.linalg.norm(_matvec(asm.B, alpha)) / np.sqrt(441)
+        assert sol.residual_norm == float(residual)
 
     def test_gaussian_error_follows_the_ridge(self):
         # on centers the ridge is eta times the RKHS norm of phi, so the
