@@ -29,7 +29,7 @@ At N = 3721 it is two, and the peak is 1.51 N^2 or 160 MiB, where B held
 whole took 2.01 N^2 and B, K and the normal matrix 3.01 N^2.  The last panel
 is kept through the factorization; the Gram matrix and the other panels'
 rows are then filled again, a panel at a time, for phi = K alpha and the
-residual B alpha.  ``evaluate`` and ``residual_field`` use the same panels.
+residual B alpha.
 
 One BLAS thread pool on the solve path: numpy and scipy each load their own
 OpenBLAS, each with its own threads, and a large product on numpy's pool just
@@ -50,7 +50,7 @@ import scipy.linalg
 from .dynamics import SystemDef, eval_field, linearize
 from .errors import ConfigurationError, NumericalError
 from .grids import boundary_sets
-from .kernels import Kernel, _fill_rows, _pair
+from .kernels import Kernel, _fill_rows
 
 __all__ = [
     "PenaltyConfig",
@@ -279,8 +279,8 @@ def normal_matrix(problem: CollocationProblem, asm: AssembledSystem) -> np.ndarr
                                                (pen.mu_layer, asm.Y)])
 
 
-# Entries per row panel of a full-basis B, and of the matrices that evaluate
-# and residual_field fill: one panel while N <= 2896, two at N = 3721.  At
+# Entries per row panel of a full-basis B, give or take a row: one panel
+# while N <= 2896, two at N = 3721.  At
 # N = 3721 (exponential kernel, 2 cores) 2^23 peaks at 1.51 N^2 doubles under
 # tracemalloc, against 2.01 N^2 with B whole, for 0.08 s more per solve;
 # 2^22 (four panels) at 1.26 N^2 for 0.15 s more, and 2^21 (seven) at
@@ -290,8 +290,9 @@ _PANEL_ENTRIES = 1 << 23
 
 
 def _panels(n: int, m: int):
-    """Equal row slices of an (n, m) matrix, as few as keep each within
-    _PANEL_ENTRIES entries."""
+    """At most count = ceil(n m / _PANEL_ENTRIES) equal row slices of an (n, m)
+    matrix, of ceil(n / count) rows each (the last may be shorter), so a slice
+    can exceed _PANEL_ENTRIES by less than one row of m entries."""
     count = max(1, -(-n * m // _PANEL_ENTRIES))
     size = max(1, -(-n // count))
     return [slice(a, min(a + size, n)) for a in range(0, n, size)]
@@ -303,17 +304,6 @@ def _panel_fill(rows, p: slice, *out):
     k = p.stop - p.start
     return _fill_rows(lambda s: rows(slice(p.start + s.start, min(p.start + s.stop, p.stop))),
                       *(M[:k] for M in out))
-
-
-def _panel_matvec(rows, n: int, m: int, coef: np.ndarray) -> np.ndarray:
-    """M @ coef for the first (n, m) matrix M that the row function rows fills,
-    one row panel of M at a time."""
-    out, panels = np.empty(n), _panels(n, m)
-    if panels:
-        buf = np.empty((panels[0].stop, m))
-        for p in panels:
-            out[p] = _matvec(_panel_fill(rows, p, buf)[0], coef)
-    return out
 
 
 def _require_finite(*mats):
@@ -443,8 +433,7 @@ def evaluate(solution: Solution, probes) -> np.ndarray:
     """phi on probe points from the coefficient expansion."""
     P = np.atleast_2d(np.asarray(probes, dtype=float))
     C, coef = _expansion(solution)
-    P, C = _pair(P, C)
-    return _panel_matvec(solution.problem.kernel._block(P, C), len(P), len(C), coef)
+    return solution.problem.kernel.pairwise(P, C) @ coef
 
 
 def gradient_at(solution: Solution, x) -> np.ndarray:
@@ -459,7 +448,7 @@ def residual_field(solution: Solution, probes) -> np.ndarray:
     prob = solution.problem
     C, coef = _expansion(solution)
     rows = residual_rows(prob.kernel, eval_field(prob.system, P), prob.lam, P, C)
-    return _panel_matvec(rows, len(P), len(C), coef)
+    return _fill_rows(rows, np.empty((len(P), len(C))))[0] @ coef
 
 
 def rescale_rmse(learned, reference):

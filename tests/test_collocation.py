@@ -359,17 +359,14 @@ def split_rows(monkeypatch, n, m, count):
 class TestRowPanels:
     # the full basis in two or three row panels of B instead of one
 
-    def test_the_panel_rule(self):
+    def test_the_panel_rule(self, monkeypatch):
         assert collocation._panels(2896, 2896) == [slice(0, 2896)]
         assert collocation._panels(3721, 3721) == [slice(0, 1861), slice(1861, 3721)]
         assert collocation._panels(1000, 6) == [slice(0, 1000)]
-        assert [p.stop - p.start for p in collocation._panels(40000, 3721)] == [2223] * 17 + [2209]
-
-    def test_no_probes_no_panels(self):
-        sol = solve(exponential_41())
-        assert collocation._panels(0, 1681) == []
-        assert evaluate(sol, np.empty((0, 2))).shape == (0,)
-        assert residual_field(sol, np.empty((0, 2))).shape == (0,)
+        # at most ceil(15 / 4) = 4 slices of ceil(5 / 4) = 2 rows: three
+        # come out, of 6 entries, within one row of the cap of 4
+        monkeypatch.setattr(collocation, "_PANEL_ENTRIES", 4)
+        assert collocation._panels(5, 3) == [slice(0, 2), slice(2, 4), slice(4, 5)]
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_peak_is_the_normal_matrix_and_one_panel(self, monkeypatch, count):
@@ -435,27 +432,6 @@ class TestRowPanels:
         with pytest.raises(NumericalError, match="non-finite"):
             solve(prob)
         assert not factored
-
-    @pytest.mark.parametrize("where", ["evaluate", "residual_field"])
-    def test_probe_fills_hold_one_panel(self, monkeypatch, where):
-        # 8000 probes on the 1681-point full basis: 108 MB whole, 1/64 of
-        # that per panel; measured peaks 0.024 (evaluate) and 0.029 of the
-        # whole matrix, and values within 3.5e-14 and 2.3e-15 of max |value|
-        prob = exponential_41()
-        sol = solve(prob)
-        probes = np.random.default_rng(4).uniform(-1, 1, size=(8000, 2))
-        fn = {"evaluate": evaluate, "residual_field": residual_field}[where]
-        split_rows(monkeypatch, 8000, 1681, 1)
-        whole = fn(sol, probes)
-        split_rows(monkeypatch, 8000, 1681, 64)
-        tracemalloc.start()
-        try:
-            panelled = fn(sol, probes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8000 * 1681 * 8 / 16
-        np.testing.assert_allclose(panelled, whole, rtol=0, atol=1e-12 * np.abs(whole).max())
 
 
 class TestMatvec:
