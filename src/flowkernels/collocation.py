@@ -18,18 +18,20 @@ the cost of giving up (0.05 s at N = 3721 on 2 cores, 0.15 s at N // 8), and
 both bases use the normal equations: QR on the Newton basis cost 10 times
 as much for the same error (README, "Known numerical limitations").
 
-On the full basis, B = D - lam K is formed inside each row block of the
-kernel fill, one row panel of at most ``_PANEL_ENTRIES`` entries at a time,
-and the normal matrix is built by scipy's BLAS in the Fortran order that
-LAPACK factors in place: SYRK adds each panel's B.T B to it before the next
-panel is filled.  So a solve holds one (N, N) array, the normal matrix, which
-becomes its own Cholesky factor, and one panel of B.  Up to N = 2896, B is one
-panel: 2.03 N^2 doubles under tracemalloc at N = 1681 (exponential kernel).
-At N = 3721 it is two, and the peak is 1.51 N^2 or 160 MiB, where B held
-whole took 2.01 N^2 and B, K and the normal matrix 3.01 N^2.  The last panel
-is kept through the factorization; the Gram matrix and the other panels'
-rows are then filled again, a panel at a time, for phi = K alpha and the
-residual B alpha.
+Both bases take one path.  ``residual_rows`` fills B = D - lam K and the
+Gram matrix K together, one row panel of at most ``_PANEL_ENTRIES`` B and K
+entries at a time, into two reused buffers.  Each panel, and the anchor and
+boundary rows G0, T and Y, is mapped by the basis: the identity on all
+points, and P -> P Lc^-T on the centers.  scipy's BLAS adds the mapped
+panel's B.T B to the normal matrix, in the Fortran order that LAPACK
+factors in place, before the next panel is filled.  So a solve holds one
+basis-sized square array, the normal matrix, which becomes its own Cholesky
+factor, and one panel of B and K.  On the full basis that is 2.06 N^2
+doubles under tracemalloc at N = 1681 (exponential kernel, two panels) and
+1.30 N^2 or 137 MiB at N = 3721 (seven), where B held whole took 2.01 N^2
+and B, K and the normal matrix 3.01 N^2; centers take one panel.  After the
+factor the buffers still hold the last panel, whose rows give r = B coef
+and phi = K coef; the earlier panels are filled again, a panel at a time.
 
 One BLAS thread pool on the solve path: numpy and scipy each load their own
 OpenBLAS, each with its own threads, and a large product on numpy's pool just
@@ -132,7 +134,6 @@ class AssembledSystem:
     G0: np.ndarray      # (dim, M) kernel gradients at the anchor
     T: np.ndarray       # (n_trace, M) kernel values at trace points
     Y: np.ndarray       # (n_layer, M) kernel values at layer points / sqrt(n_layer)
-    K: Optional[np.ndarray] = None  # (N, r) K(x_i, c_j) on r centers; None on all N points
 
 
 def _kernel_gradients(kernel: Kernel, x: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -173,17 +174,12 @@ def _penalty_rows(problem: CollocationProblem, C: np.ndarray):
 
 
 def assemble(problem: CollocationProblem, centers=None) -> AssembledSystem:
-    """The objective's matrices for phi expanded on all points or on centers;
-    only the centers keep their Gram matrix K(X, C)."""
+    """The objective's matrices for phi expanded on all points or on centers."""
     X = problem.points
     C = X if centers is None else X[centers]
     rows = residual_rows(problem.kernel, eval_field(problem.system, X), problem.lam, X, C)
-    shape = (len(X), len(C))
-    if centers is None:
-        B, K = _fill_rows(rows, np.empty(shape))[0], None
-    else:
-        B, K = _fill_rows(rows, np.empty(shape), np.empty(shape))
-    return AssembledSystem(B, *_penalty_rows(problem, C), K=K)
+    return AssembledSystem(_fill_rows(rows, np.empty((len(X), len(C))))[0],
+                           *_penalty_rows(problem, C))
 
 
 @dataclass(frozen=True)
@@ -279,21 +275,23 @@ def normal_matrix(problem: CollocationProblem, asm: AssembledSystem) -> np.ndarr
                                                (pen.mu_layer, asm.Y)])
 
 
-# Entries per row panel of a full-basis B, give or take a row: one panel
-# while N <= 2896, two at N = 3721.  At
-# N = 3721 (exponential kernel, 2 cores) 2^23 peaks at 1.51 N^2 doubles under
-# tracemalloc, against 2.01 N^2 with B whole, for 0.08 s more per solve;
-# 2^22 (four panels) at 1.26 N^2 for 0.15 s more, and 2^21 (seven) at
-# 1.16 N^2 for 0.3-0.6 s more: every panel but the last is filled again for
-# B alpha and K alpha
-_PANEL_ENTRIES = 1 << 23
+# B and K entries per row panel, give or take a row: one panel while
+# N <= 1448, two at N = 1681, seven at N = 3721, and one on r centers
+# while N r <= 2^21.  At N = 3721 (exponential kernel, 2 cores, warm)
+# 2^22 peaks at 1.30 N^2 doubles under tracemalloc for 1.23-1.32 s per solve,
+# against 1.51 N^2 and 1.19-1.25 s for two B-only panels that refilled only
+# the last panel's K, since the D rows of six panels are filled again for
+# B coef; 2^21 (14 panels) gave 1.16 N^2 for 1.31-1.36 s.  2^23 would keep
+# N = 1681 in one panel, at 3 N^2
+_PANEL_ENTRIES = 1 << 22
 
 
 def _panels(n: int, m: int):
-    """At most count = ceil(n m / _PANEL_ENTRIES) equal row slices of an (n, m)
-    matrix, of ceil(n / count) rows each (the last may be shorter), so a slice
-    can exceed _PANEL_ENTRIES by less than one row of m entries."""
-    count = max(1, -(-n * m // _PANEL_ENTRIES))
+    """At most count = ceil(2 n m / _PANEL_ENTRIES) equal row slices of an
+    (n, m) pair B and K, of ceil(n / count) rows each (the last may be
+    shorter), so a slice of both can exceed _PANEL_ENTRIES by less than one
+    row of 2 m entries."""
+    count = max(1, -(-2 * n * m // _PANEL_ENTRIES))
     size = max(1, -(-n // count))
     return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
@@ -344,76 +342,65 @@ def _greedy_centers(kernel: Kernel, X: np.ndarray):
         diag -= V[k] * V[k]
 
 
-def _solve_full(problem: CollocationProblem):
-    """(alpha, B alpha, K alpha, G0) on the full basis, with B = D - lam K
-    filled one row panel at a time into one buffer and each panel added to
-    the normal matrix before the next is filled.  The buffer keeps the last
-    panel through the factorization; afterwards its B rows give their part
-    of B alpha, it takes their K rows for K alpha, and the earlier panels
-    are filled again, B and K at once."""
-    X, kern, pen = problem.points, problem.kernel, problem.penalties
-    n = len(X)
-    G0, T, Y = _penalty_rows(problem, X)
-    _require_finite(G0, T, Y)
-    rows = residual_rows(kern, eval_field(problem.system, X), problem.lam, X, X)
-    panels = _panels(n, n)
-    buf = np.empty((panels[0].stop, n))
-
-    def residual_panels():
-        for p in panels:
-            B = _panel_fill(rows, p, buf)[0]
-            _require_finite(B)
-            yield B
-
-    terms = [(pen.mu_grad, G0), (pen.mu_trace, T), (pen.mu_layer, Y)]
-    alpha = _solve_spd(lambda: _normal_equations(residual_panels(), pen.eta, terms),
-                       pen.mu_grad * G0.T @ problem.anchor_target)
-    r, phi, last = np.empty(n), np.empty(n), panels[-1]
-    r[last] = _matvec(buf[:last.stop - last.start], alpha)
-    phi[last] = _matvec(_panel_fill(kern._block(X, X), last, buf)[0], alpha)
-    if len(panels) > 1:
-        Kbuf = np.empty_like(buf)
-        for p in panels[:-1]:
-            B, K = _panel_fill(rows, p, buf, Kbuf)
-            r[p], phi[p] = _matvec(B, alpha), _matvec(K, alpha)
-    return alpha, r, phi, G0
-
-
 def solve(problem: CollocationProblem, reference: Optional[Callable] = None) -> Solution:
     """Minimize the penalized residual objective.
 
     reference: optional callable giving exact eigenfunction values on the
     collocation points; fills the RMSE diagnostics.
     """
-    greedy = _greedy_centers(problem.kernel, problem.points)
-    w = problem.anchor_target
+    X, pen, w = problem.points, problem.penalties, problem.anchor_target
+    n = len(X)
+    greedy = _greedy_centers(problem.kernel, X)
     if greedy is None:
-        centers = None
-        alpha, r, phi, G0 = _solve_full(problem)
-        coef = alpha
+        centers, C = None, X
+
+        def basis(M):
+            return M
     else:
-        centers = np.array(greedy[1])
-        asm = assemble(problem, centers)
-        _require_finite(asm.B, asm.G0, asm.T, asm.Y)
-        # Newton basis K(X, C) Lc^-T, with K(C, C) = Lc Lc.T: every row block
+        # Newton basis K(x, C) Lc^-T, with K(C, C) = Lc Lc.T: every row block
         # of the objective is mapped by the same triangular factor
-        V = greedy[0]
-        Lc = V[:, centers].T
-        newton = AssembledSystem(*(scipy.linalg.solve_triangular(Lc, M.T, lower=True).T
-                                   for M in (asm.B, asm.G0, asm.T, asm.Y)))
-        beta = _solve_spd(lambda: normal_matrix(problem, newton),
-                          problem.penalties.mu_grad * newton.G0.T @ w)
+        centers = np.array(greedy[1])
+        C, Lc = X[centers], greedy[0][:, centers].T
+
+        def basis(M):
+            return scipy.linalg.solve_triangular(Lc, M.T, lower=True).T
+
+    G0, T, Y = _penalty_rows(problem, C)
+    _require_finite(G0, T, Y)
+    terms = [(pen.mu_grad, basis(G0)), (pen.mu_trace, basis(T)), (pen.mu_layer, basis(Y))]
+    rows = residual_rows(problem.kernel, eval_field(problem.system, X), problem.lam, X, C)
+    panels = _panels(n, len(C))
+    Bbuf, Kbuf = np.empty((panels[0].stop, len(C))), np.empty((panels[0].stop, len(C)))
+
+    def mapped_panels():
+        for p in panels:
+            B = _panel_fill(rows, p, Bbuf, Kbuf)[0]
+            _require_finite(B)
+            yield basis(B)
+
+    beta = _solve_spd(lambda: _normal_equations(mapped_panels(), pen.eta, terms),
+                      pen.mu_grad * terms[0][1].T @ w)
+    if centers is None:
+        coef = alpha = beta
+    else:
         coef = scipy.linalg.solve_triangular(Lc, beta, lower=True, trans="T")
-        alpha = np.zeros(len(problem.points))
+        alpha = np.zeros(n)
         alpha[centers] = coef
-        r, phi, G0 = _matvec(asm.B, coef), _matvec(asm.K, coef), asm.G0
+    # r = B coef and phi = K coef: the buffers still hold the last panel,
+    # and the earlier panels are filled again
+    r, phi, last = np.empty(n), np.empty(n), panels[-1]
+    k = last.stop - last.start
+    r[last], phi[last] = _matvec(Bbuf[:k], coef), _matvec(Kbuf[:k], coef)
+    for p in panels[:-1]:
+        B, K = _panel_fill(rows, p, Bbuf, Kbuf)
+        r[p], phi[p] = _matvec(B, coef), _matvec(K, coef)
     deriv = G0 @ coef
-    c_star, rmse_rescaled, rmse_raw = _reference_fit(phi, problem.points, reference)
+    c_star, rmse_rescaled, rmse_raw = _reference_fit(phi, X, reference)
     return Solution(
         alpha=alpha,
         phi=phi,
         problem=problem,
-        residual_norm=float(np.linalg.norm(r) / np.sqrt(len(r))),
+        residual_norm=float(np.linalg.norm(r) / np.sqrt(n)),
         anchor_error=float(np.linalg.norm(deriv - w)),
         derivative_at_anchor=deriv,
         rescale_factor=c_star,

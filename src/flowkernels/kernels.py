@@ -116,8 +116,12 @@ def _bank_rows(blocks):
 
 
 def _bank_sum(weights, parts):
-    """sum_l weights[l] * parts[l], accumulated in bank order from 0; every
-    mixture matrix is summed this way, so they agree bit for bit."""
+    """sum_l weights[l] * parts[l], accumulated in bank order from 0.  A
+    mixture's ``eval`` and the K and D rows of its ``_block`` (so its
+    ``pairwise`` and ``directional_pairwise``) are summed in this order and
+    agree bit for bit.  MKL's objective sums its slabs by ``_matvec``
+    (dgemv) instead, so its B can differ from the mixture's collocation B
+    in the last bits."""
     acc = 0
     for b, part in zip(weights, parts):
         acc = acc + b * part
@@ -142,6 +146,7 @@ class Kernel:
 
     def __init__(self, **params):
         self.params = params
+        vars(self).update(params)
 
     def eval(self, x, y):
         raise NotImplementedError
@@ -250,7 +255,6 @@ class GaussianKernel(RadialKernel):
             ell = positive("ell", ell)
             gamma = 1.0 / (2.0 * ell * ell)
         super().__init__(gamma=positive("gamma", gamma), ell=ell)
-        self.gamma = float(gamma)
 
     def profile(self, r2):
         k = np.exp(-self.gamma * r2)
@@ -266,7 +270,6 @@ class ExponentialKernel(RadialKernel):
 
     def __init__(self, gamma: float = 1.0):
         super().__init__(gamma=positive("gamma", gamma))
-        self.gamma = float(gamma)
 
     def profile(self, r2):
         r = np.sqrt(r2)
@@ -281,7 +284,6 @@ class CauchyKernel(RadialKernel):
 
     def __init__(self, gamma: float = 1.0):
         super().__init__(gamma=positive("gamma", gamma))
-        self.gamma = float(gamma)
 
     def profile(self, r2):
         k = 1.0 / (1.0 + r2 / self.gamma ** 2)
@@ -295,7 +297,6 @@ class InverseQuadraticKernel(RadialKernel):
 
     def __init__(self, gamma: float = 1.0):
         super().__init__(gamma=positive("gamma", gamma))
-        self.gamma = float(gamma)
 
     def profile(self, r2):
         k = 1.0 / (1.0 + self.gamma * r2)
@@ -314,7 +315,6 @@ class TriangularKernel(RadialKernel):
 
     def __init__(self, sigma: float = 1.0):
         super().__init__(sigma=positive("sigma", sigma))
-        self.sigma = float(sigma)
 
     def profile(self, r2):
         r = np.sqrt(r2)
@@ -335,8 +335,6 @@ class SigmoidKernel(DotProductKernel):
         if not np.isfinite(coef0):
             raise ConfigurationError(f"coef0 must be finite, got {coef0}")
         super().__init__(gamma=positive("gamma", gamma), coef0=float(coef0))
-        self.gamma = float(gamma)
-        self.coef0 = float(coef0)
 
     def profile(self, s, memo):
         k = np.tanh(self.gamma * s + self.coef0)
@@ -358,8 +356,6 @@ class PolynomialKernel(DotProductKernel):
                 stacklevel=2,
             )
         super().__init__(degree=degree, coef0=float(coef0))
-        self.degree = degree
-        self.coef0 = float(coef0)
 
     def profile(self, s, memo):
         # b and each b ** k once per (coef0, k) in the memo: degree d's

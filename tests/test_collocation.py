@@ -281,9 +281,8 @@ class TestSolve:
         assert np.array_equal(solve(prob).alpha, solve(prob).alpha)
 
     def test_solve_peaks_at_about_two_matrices(self):
-        # B, one panel at this size, and the normal matrix, which the
-        # Cholesky factorization overwrites in place; the Gram matrix for
-        # phi is filled into B's buffer once the factor is freed
+        # the normal matrix, which the Cholesky factorization overwrites in
+        # place, and one row panel of B and K, half of each at this size
         prob = CollocationProblem.for_eigenvalue(
             make_system("poly2d"), -1.0, make_kernel("exponential", gamma=1.0),
             tensor_grid([(-1, 1), (-1, 1)], 41),
@@ -351,35 +350,39 @@ def exponential_41():
 
 
 def split_rows(monkeypatch, n, m, count):
-    """Make an (n, m) fill take `count` row panels."""
-    monkeypatch.setattr(collocation, "_PANEL_ENTRIES", -(-n * m // count))
+    """Make the solve of an (n, m) B and K take `count` row panels."""
+    monkeypatch.setattr(collocation, "_PANEL_ENTRIES", -(-2 * n * m // count))
     assert len(collocation._panels(n, m)) == count
 
 
 class TestRowPanels:
-    # the full basis in two or three row panels of B instead of one
+    # B and K in two or three row panels instead of one
 
     def test_the_panel_rule(self, monkeypatch):
-        assert collocation._panels(2896, 2896) == [slice(0, 2896)]
-        assert collocation._panels(3721, 3721) == [slice(0, 1861), slice(1861, 3721)]
+        assert collocation._panels(1448, 1448) == [slice(0, 1448)]
+        assert collocation._panels(1681, 1681) == [slice(0, 841), slice(841, 1681)]
+        # seven panels of 532 rows, the last of 529
+        assert collocation._panels(3721, 3721) == [slice(a, min(a + 532, 3721))
+                                                   for a in range(0, 3721, 532)]
         assert collocation._panels(1000, 6) == [slice(0, 1000)]
-        # at most ceil(15 / 4) = 4 slices of ceil(5 / 4) = 2 rows: three
-        # come out, of 6 entries, within one row of the cap of 4
-        monkeypatch.setattr(collocation, "_PANEL_ENTRIES", 4)
+        # at most ceil(30 / 8) = 4 slices of ceil(5 / 4) = 2 rows: three
+        # come out, of 12 B and K entries, within one row (6) of the cap of 8
+        monkeypatch.setattr(collocation, "_PANEL_ENTRIES", 8)
         assert collocation._panels(5, 3) == [slice(0, 2), slice(2, 4), slice(4, 5)]
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_peak_is_the_normal_matrix_and_one_panel(self, monkeypatch, count):
+        # 2 count panels, so that the B and K rows of one hold N^2 / count entries
         prob = exponential_41()
         n = prob.points.shape[0]
-        split_rows(monkeypatch, n, n, count)
+        split_rows(monkeypatch, n, n, 2 * count)
         tracemalloc.start()
         try:
             solve(prob)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 1.560 and 1.393 N^2: (1 + 1/count) N^2 plus the fill's blocks
+        # measured 1.560 and 1.394 N^2: (1 + 1/count) N^2 plus the fill's blocks
         assert peak <= 1.6 * n * n * 8
 
     @pytest.mark.parametrize("count", [2, 3])
@@ -407,6 +410,7 @@ class TestRowPanels:
         # 5.9e-5 relative, alpha 3.2e-4 of max |alpha|, at 2 and 3 panels
         prob = exponential_41()
         n = prob.points.shape[0]
+        split_rows(monkeypatch, n, n, 1)
         one = solve(prob)
         split_rows(monkeypatch, n, n, count)
         sol = solve(prob)
@@ -414,6 +418,28 @@ class TestRowPanels:
         assert np.abs(sol.phi - one.phi).max() <= 1e-3 * np.abs(one.phi).max()
         assert sol.residual_norm == pytest.approx(one.residual_norm, rel=2e-4)
         assert sol.anchor_error == pytest.approx(one.anchor_error, rel=1e-3, abs=1e-9)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_newton_basis_agrees_with_one_panel(self, monkeypatch, count):
+        # each panel of B is mapped to the Newton basis on its own; only the
+        # order in which B.T B is summed changes: measured phi 0 and 3.6e-14
+        # of max |phi|, alpha 0 and 2.9e-13 of max |alpha|, residual_norm
+        # (2.4e-9, rounding level) and anchor_error 0 and 4.3e-6 relative, at
+        # 2 and 3 panels
+        prob = CollocationProblem.for_eigenvalue(
+            make_system("poly2d"), -1.0, make_kernel("polynomial", degree=2, coef0=0.5),
+            tensor_grid([(-1, 1), (-1, 1)], 21),
+        )
+        n = prob.points.shape[0]
+        one = solve(prob)
+        assert one.n_centers == 6 and len(collocation._panels(n, 6)) == 1
+        split_rows(monkeypatch, n, 6, count)
+        sol = solve(prob)
+        assert np.array_equal(sol.centers, one.centers)
+        assert np.abs(sol.phi - one.phi).max() <= 1e-12 * np.abs(one.phi).max()
+        assert np.abs(sol.alpha - one.alpha).max() <= 1e-11 * np.abs(one.alpha).max()
+        assert sol.residual_norm == pytest.approx(one.residual_norm, rel=1e-4)
+        assert sol.anchor_error == pytest.approx(one.anchor_error, rel=1e-4)
 
     def test_non_finite_panel_fails_before_any_factorization(self, monkeypatch):
         prob = exponential_41()

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from flowkernels import kernels as kn
-from flowkernels.collocation import CollocationProblem, assemble, residual_field, solve
+from flowkernels.collocation import (
+    CollocationProblem, assemble, residual_field, residual_rows, solve,
+)
 from flowkernels.dynamics import eval_field, make_system
 from flowkernels.errors import ConfigurationError
 from flowkernels.grids import tensor_grid
@@ -245,10 +247,10 @@ def test_directional_assembly_is_bit_identical_to_gradient_tensor(k):
     prob = CollocationProblem.for_eigenvalue(system, -1.0, k, X)
     asm = assemble(prob)
     K, B, G = _tensor_reference(k, system, prob.lam, X)
-    # the full basis keeps no Gram matrix; a center basis of every point
-    # keeps K(X, X) as pairwise fills it
-    assert asm.K is None
-    assert np.array_equal(assemble(prob, np.arange(len(X))).K, K)
+    # the K part of the fill that solve uses for phi is K(X, X) as pairwise fills it
+    rows = residual_rows(k, eval_field(system, X), prob.lam, X, X)
+    fill = kn._fill_rows(rows, np.empty(K.shape), np.empty(K.shape))
+    assert np.array_equal(fill[1], K)
     assert np.array_equal(asm.B, B)
     assert np.array_equal(asm.G0, kernel_gradient(k, np.zeros((1, 2)), X)[0].T)
     if k.family in ("exponential", "triangular"):
@@ -395,7 +397,6 @@ def test_rank_one_assembly_evaluates_xi_three_times():
     K = np.outer(xi(X), xi(X))
     G = xi(X)[None, :, None] * g[:, None, :]
     B = np.einsum("ijd,id->ij", G, F) - prob.lam * K
-    assert asm.K is None
     np.testing.assert_allclose(prob.kernel.pairwise(X), K, rtol=1e-12, atol=0)
     np.testing.assert_allclose(asm.B, B, rtol=1e-12, atol=1e-12 * np.max(np.abs(B)))
 
