@@ -7,15 +7,18 @@ metrics file.  The config actually used is archived next to the outputs
 so every artifact directory is self-describing.
 
 Exit codes: 0 success, 2 config error, 4 flow blow-up, 3 any other
-numerical (floating-point faults included) or IO failure.
+numerical (floating-point faults included) or IO failure.  A config error
+writes nothing, a later failure leaves only ``<name>_config.ini``, and a
+success adds the CSVs and ``<name>_metrics.txt``: ``_dispatch`` alone writes.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +38,7 @@ __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
+# artifact text
 
 
 def _fmt(v) -> str:
@@ -43,10 +46,10 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
-    """UTF-8 CSV, header row, '.' decimal, one column per entry."""
+def _csv(table: dict) -> str:
+    """UTF-8 CSV text, header row, '.' decimal, one column per entry."""
     cols = []
-    for c in columns:
+    for c in table.values():
         arr = np.asarray(c)
         if arr.dtype.kind in "US":
             cols.append([str(v) for v in arr])
@@ -54,16 +57,13 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
             cols.append([_fmt(v) for v in arr])
     if len({len(c) for c in cols}) > 1:
         raise NumericalError("csv columns have mismatched lengths")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(row) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    lines = [",".join(table) + "\n"]
+    for row in zip(*cols):
+        lines.append(",".join(row) + "\n")
+    return "".join(lines)
 
 
-def write_metrics(path, entries: Dict[str, object]) -> None:
+def _metrics(entries: dict) -> str:
     """Flat key = value lines; every numeric entry must be finite."""
     lines = []
     for k, v in entries.items():
@@ -78,18 +78,40 @@ def write_metrics(path, entries: Dict[str, object]) -> None:
         else:
             s = str(v)
         lines.append(f"{k} = {s}\n")
+    return "".join(lines)
+
+
+def _write(path: pathlib.Path, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def _points(X: np.ndarray, **cols) -> dict:
+    """The points' coordinates x1, x2, ... followed by cols."""
+    return {**{f"x{i + 1}": X[:, i] for i in range(X.shape[1])}, **cols}
+
+
+def _solution(X: np.ndarray, result, ref) -> dict:
+    """The points and phi of a collocation or MKL result, plus the reference
+    and the rescaled absolute error when a closed form exists."""
+    if ref is None:
+        return _points(X, phi=result.phi)
+    phi_ref = np.asarray(ref(X), dtype=float)
+    return _points(X, phi=result.phi, phi_ref=phi_ref,
+                   abs_err=np.abs(result.rescale_factor * result.phi - phi_ref))
 
 
 # ---------------------------------------------------------------------------
 # shared pieces
 
 
-def _resolve_lam(cfg: ExperimentConfig, lin) -> float:
+def _system(cfg: ExperimentConfig):
+    """The [system], its linearization and the rate [eigenvalue] picks."""
+    system = make_system(cfg.get("system", "name"))
+    lin = linearize(system)
     if cfg.has("eigenvalue", "index"):
         idx = cfg.get_int("eigenvalue", "index")
         if not (0 <= idx < lin.eigenvalues.size):
@@ -97,20 +119,23 @@ def _resolve_lam(cfg: ExperimentConfig, lin) -> float:
                 f"eigenvalue index {idx} out of range for spectrum "
                 f"{np.array2string(lin.eigenvalues)}"
             )
-        return float(lin.eigenvalues[idx])
-    lam, _ = lin.eigenpair(cfg.get_float("eigenvalue", "value"))
-    return lam
+        return system, lin, float(lin.eigenvalues[idx])
+    return system, lin, lin.eigenpair(cfg.get_float("eigenvalue", "value"))[0]
 
 
-def _kernel_from_spec(cfg: ExperimentConfig):
-    """The [kernel] family; degree is an integer, every other key a finite number."""
+def _kernel_on_grid(cfg: ExperimentConfig, X: np.ndarray):
+    """The [kernel] family name and its kernel, evaluated once on the grid X
+    so a kernel invalid there fails before the archive; degree is an
+    integer, every other key a finite number."""
     spec = cfg.kernel_spec()
     family = spec.pop("family", None)
     if family is None:
         raise ConfigurationError("missing [kernel] family")
     hyper = {k: cfg.get_int("kernel", k) if k == "degree" else cfg.get_float("kernel", k)
              for k in spec}
-    return make_kernel(family, **hyper)
+    kernel = make_kernel(family, **hyper)
+    kernel.eval(X, X)
+    return family, kernel
 
 
 def _grid_points(cfg: ExperimentConfig) -> np.ndarray:
@@ -137,230 +162,152 @@ def _penalties(cfg: ExperimentConfig) -> PenaltyConfig:
                                      "eta", "mu_grad", "mu_trace", "mu_layer", "boundary"))
 
 
-def _base_metrics(cfg: ExperimentConfig) -> Dict[str, object]:
-    return {
-        "experiment": cfg.name,
-        "command": cfg.command,
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-    }
-
-
-def _coord_headers(dim: int) -> List[str]:
-    return [f"x{i + 1}" for i in range(dim)]
-
-
-def _write_solution(path, X: np.ndarray, result, ref) -> None:
-    """The points and phi of a collocation or MKL result, plus the reference
-    and the rescaled absolute error when a closed form exists."""
-    headers = _coord_headers(X.shape[1]) + ["phi"]
-    columns = [X[:, i] for i in range(X.shape[1])] + [result.phi]
-    if ref is not None:
-        phi_ref = np.asarray(ref(X), dtype=float)
-        headers += ["phi_ref", "abs_err"]
-        columns += [phi_ref, np.abs(result.rescale_factor * result.phi - phi_ref)]
-    write_csv(path, headers, columns)
-
-
-def _archive(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
-    """Create the output directory and archive the config in it.  Runners
-    call this after reading every setting they use and before any numerics,
-    so a config error writes nothing; a key the runner never read is one."""
-    unread = cfg.unread_keys()
-    if unread:
-        raise ConfigurationError(
-            f"the {cfg.command} command does not read {', '.join(unread)}")
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {outdir}: {exc}") from exc
-    cfg.write(outdir / f"{cfg.name}_config.ini")
-
-
 # ---------------------------------------------------------------------------
-# subcommand runners
+# subcommand runners: each reads and checks every setting it uses, then
+# returns the computation that yields its tables, by file suffix and each
+# mapping a header to its column, and its own metrics
 
 
-def _run_solve(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
-    system = make_system(cfg.get("system", "name"))
-    lam = _resolve_lam(cfg, linearize(system))
+def _run_solve(cfg: ExperimentConfig) -> Callable[[], tuple]:
+    system, _, lam = _system(cfg)
     X = _grid_points(cfg)
-    prob = CollocationProblem.for_eigenvalue(
-        system, lam, _kernel_from_spec(cfg), X,
-        penalties=_penalties(cfg),
-    )
-    prob.kernel.eval(X, X)    # a kernel invalid on the grid fails before the archive
-    _archive(cfg, outdir)
-    ref = reference_eigenfunction(system.name, prob.lam)
-    sol = solve(prob, reference=ref)
-    _write_solution(outdir / f"{cfg.name}_solution.csv", X, sol, ref)
+    family, kernel = _kernel_on_grid(cfg, X)
+    prob = CollocationProblem.for_eigenvalue(system, lam, kernel, X, penalties=_penalties(cfg))
 
-    metrics = _base_metrics(cfg)
-    metrics.update(
-        system=system.name, lam=prob.lam,
-        kernel=cfg.kernel_spec().get("family"),
-        n_points=X.shape[0],
-        n_centers=sol.n_centers,
-        residual_norm=sol.residual_norm,
-        anchor_error=sol.anchor_error,
-    )
-    if sol.rescale_factor is not None:
-        metrics.update(
-            c_star=sol.rescale_factor,
-            rmse_raw=sol.rmse_raw,
-            rmse_rescaled=sol.rmse_rescaled,
+    def run():
+        ref = reference_eigenfunction(system.name, prob.lam)
+        sol = solve(prob, reference=ref)
+        metrics = dict(
+            system=system.name, lam=prob.lam, kernel=family,
+            n_points=X.shape[0],
+            n_centers=sol.n_centers,
+            residual_norm=sol.residual_norm,
+            anchor_error=sol.anchor_error,
         )
-    write_metrics(outdir / f"{cfg.name}_metrics.txt", metrics)
+        if sol.rescale_factor is not None:
+            metrics.update(
+                c_star=sol.rescale_factor,
+                rmse_raw=sol.rmse_raw,
+                rmse_rescaled=sol.rmse_rescaled,
+            )
+        return {"solution": _solution(X, sol, ref)}, metrics
+    return run
 
 
-def _run_mkl(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
+def _run_mkl(cfg: ExperimentConfig) -> Callable[[], tuple]:
     bank = cfg.get("kernel", "bank", "default11")
     if bank != "default11":
         raise ConfigurationError(f"unknown kernel bank {bank!r}")
-    system = make_system(cfg.get("system", "name"))
-    lam = _resolve_lam(cfg, linearize(system))
+    system, _, lam = _system(cfg)
     X = _grid_points(cfg)
     mcfg = MKLConfig(**_settings(cfg, "penalties", MKLConfig, "eta", "mu_grad"),
                      **_settings(cfg, "mkl", MKLConfig, "tau", "max_iter", "gtol"))
-    _archive(cfg, outdir)
-    ref = reference_eigenfunction(system.name, lam)
-    result = sparsify(mkl_solve(system, lam, X, mcfg, reference=ref))
 
-    pruned_empty = result.pruned_beta.size == 0
-    pruned = np.zeros_like(result.beta) if pruned_empty else result.pruned_beta
-    write_csv(
-        outdir / f"{cfg.name}_weights.csv",
-        ["kernel", "beta", "beta_pruned"],
-        [np.array(list(result.kernel_labels)), result.beta, pruned],
-    )
-
-    # the solution this run stands for is the full learned mixture; the
-    # pruned refit is an extra diagnostic when anything survives
-    _write_solution(outdir / f"{cfg.name}_solution.csv", X, result, ref)
-
-    metrics = _base_metrics(cfg)
-    metrics.update(
-        system=system.name, lam=lam,
-        n_points=X.shape[0], n_kernels=result.beta.size,
-        beta_min=float(result.beta.min()), beta_max=float(result.beta.max()),
-        converged=result.converged, n_iterations=result.loss_trace.size - 1,
-        loss_initial=float(result.loss_trace[0]),
-        loss_final=float(result.loss_trace[-1]),
-        tau=mcfg.tau,
-        n_surviving=int(np.count_nonzero(pruned)),
-        pruned_empty=pruned_empty,
-    )
-    if result.rmse_rescaled is not None:
-        metrics.update(c_star=result.rescale_factor, rmse_rescaled=result.rmse_rescaled)
-    if not pruned_empty:
-        refit = refit_pruned(
-            system, lam, X, pruned_mixture(result),
-            reference=ref, eta=mcfg.eta, mu_grad=mcfg.mu_grad,
+    def run():
+        ref = reference_eigenfunction(system.name, lam)
+        result = sparsify(mkl_solve(system, lam, X, mcfg, reference=ref))
+        pruned_empty = result.pruned_beta.size == 0
+        pruned = np.zeros_like(result.beta) if pruned_empty else result.pruned_beta
+        weights = {"kernel": np.array(list(result.kernel_labels)),
+                   "beta": result.beta, "beta_pruned": pruned}
+        metrics = dict(
+            system=system.name, lam=lam,
+            n_points=X.shape[0], n_kernels=result.beta.size,
+            beta_min=float(result.beta.min()), beta_max=float(result.beta.max()),
+            converged=result.converged, n_iterations=result.loss_trace.size - 1,
+            loss_initial=float(result.loss_trace[0]),
+            loss_final=float(result.loss_trace[-1]),
+            tau=mcfg.tau,
+            n_surviving=int(np.count_nonzero(pruned)),
+            pruned_empty=pruned_empty,
         )
-        metrics.update(pruned_residual_norm=refit.residual_norm)
-        if refit.rmse_rescaled is not None:
-            metrics.update(pruned_rmse=refit.rmse_rescaled)
-    write_metrics(outdir / f"{cfg.name}_metrics.txt", metrics)
+        if result.rmse_rescaled is not None:
+            metrics.update(c_star=result.rescale_factor, rmse_rescaled=result.rmse_rescaled)
+        if not pruned_empty:
+            refit = refit_pruned(
+                system, lam, X, pruned_mixture(result),
+                reference=ref, eta=mcfg.eta, mu_grad=mcfg.mu_grad,
+            )
+            metrics.update(pruned_residual_norm=refit.residual_norm)
+            if refit.rmse_rescaled is not None:
+                metrics.update(pruned_rmse=refit.rmse_rescaled)
+        # the solution this run stands for is the full learned mixture; the
+        # pruned refit is an extra diagnostic when anything survives
+        return {"weights": weights, "solution": _solution(X, result, ref)}, metrics
+    return run
 
 
-def _run_path_integral(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
-    system = make_system(cfg.get("system", "name"))
-    lin = linearize(system)
-    lam = _resolve_lam(cfg, lin)
+def _run_path_integral(cfg: ExperimentConfig) -> Callable[[], tuple]:
+    system, lin, lam = _system(cfg)
     T = cfg.get_float("path_integral", "T")
     M = cfg.get_int("path_integral", "M")
     ev = XiEvaluator(system, lin, lam, T, M)
     X = _grid_points(cfg)
-    _archive(cfg, outdir)
 
-    xi, res = residual_values(ev, X)
-    write_csv(
-        outdir / f"{cfg.name}_xi.csv",
-        _coord_headers(X.shape[1]) + ["xi", "residual"],
-        [X[:, i] for i in range(X.shape[1])] + [xi, res],
-    )
-
-    mean_abs_xi = float(np.mean(np.abs(xi)))
-    mean_abs_res = float(np.mean(np.abs(res)))
-    metrics = _base_metrics(cfg)
-    metrics.update(
-        system=system.name, lam=ev.lam, T=T, M=M,
-        direction=ev.direction, n_points=X.shape[0],
-        mean_abs_xi=mean_abs_xi,
-        mean_abs_residual=mean_abs_res,
-        max_abs_residual=float(np.max(np.abs(res))),
-        residual_over_xi=mean_abs_res / mean_abs_xi if mean_abs_xi else np.inf,
-    )
-    write_metrics(outdir / f"{cfg.name}_metrics.txt", metrics)
+    def run():
+        xi, res = residual_values(ev, X)
+        mean_abs_xi = float(np.mean(np.abs(xi)))
+        mean_abs_res = float(np.mean(np.abs(res)))
+        metrics = dict(
+            system=system.name, lam=ev.lam, T=T, M=M,
+            direction=ev.direction, n_points=X.shape[0],
+            mean_abs_xi=mean_abs_xi,
+            mean_abs_residual=mean_abs_res,
+            max_abs_residual=float(np.max(np.abs(res))),
+            residual_over_xi=mean_abs_res / mean_abs_xi if mean_abs_xi else np.inf,
+        )
+        return {"xi": _points(X, xi=xi, residual=res)}, metrics
+    return run
 
 
-def _run_mercer(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
+def _run_mercer(cfg: ExperimentConfig) -> Callable[[], tuple]:
     X = _grid_points(cfg)
-    kernel = _kernel_from_spec(cfg)
+    family, kernel = _kernel_on_grid(cfg, X)
     k = cfg.get_int("mercer", "k", min(6, len(X)))
     if not (1 <= k <= len(X)):
         raise ConfigurationError(f"[mercer] k={k} not in 1..{len(X)}")
-    kernel.eval(X, X)    # a kernel invalid on the grid fails before the archive
-    _archive(cfg, outdir)
-    dec = mercer_decompose(kernel, grid=X)
 
-    write_csv(
-        outdir / f"{cfg.name}_spectrum.csv",
-        ["n", "mu"],
-        [np.arange(1, dec.eigenvalues.size + 1), dec.eigenvalues],
-    )
-    # fix each mode's sign (largest-magnitude entry positive) so output does
-    # not depend on eigensolver sign conventions
-    modes = dec.modes[:, :k].copy()
-    for j in range(k):
-        pivot = np.argmax(np.abs(modes[:, j]))
-        if modes[pivot, j] < 0:
-            modes[:, j] = -modes[:, j]
-    write_csv(
-        outdir / f"{cfg.name}_modes.csv",
-        _coord_headers(X.shape[1]) + [f"psi_{j + 1}" for j in range(k)],
-        [X[:, i] for i in range(X.shape[1])] + [modes[:, j] for j in range(k)],
-    )
-
-    metrics = _base_metrics(cfg)
-    metrics.update(
-        kernel=cfg.kernel_spec().get("family"),
-        n_points=X.shape[0], k=k,
-        mu_top=float(dec.eigenvalues[0]),
-        mu_min=float(dec.eigenvalues[-1]),
-        indefinite=dec.indefinite,
-    )
-    write_metrics(outdir / f"{cfg.name}_metrics.txt", metrics)
+    def run():
+        dec = mercer_decompose(kernel, grid=X)
+        spectrum = {"n": np.arange(1, dec.eigenvalues.size + 1), "mu": dec.eigenvalues}
+        # fix each mode's sign (largest-magnitude entry positive) so output
+        # does not depend on eigensolver sign conventions
+        modes = dec.modes[:, :k]
+        modes = modes * np.where(modes[np.abs(modes).argmax(axis=0), np.arange(k)] < 0, -1, 1)
+        metrics = dict(
+            kernel=family,
+            n_points=X.shape[0], k=k,
+            mu_top=float(dec.eigenvalues[0]),
+            mu_min=float(dec.eigenvalues[-1]),
+            indefinite=dec.indefinite,
+        )
+        return {"spectrum": spectrum,
+                "modes": _points(X, **{f"psi_{j + 1}": modes[:, j] for j in range(k)})}, metrics
+    return run
 
 
-def _run_unify(cfg: ExperimentConfig, outdir: pathlib.Path) -> None:
+def _run_unify(cfg: ExperimentConfig) -> Callable[[], tuple]:
     problem = AdvectionProblem(**_settings(cfg, "unify", AdvectionProblem, "c", "lam",
                                            a="rule_lo", b="rule_hi"))
     rule = QuadratureRule(problem.a, problem.b,
                           **_settings(cfg, "unify", QuadratureRule, "scheme", n="rule_n"))
     n = count("[unify] grid_n", cfg.get_int("unify", "grid_n", 20), 1)
-    grid = np.linspace(
-        cfg.get_float("unify", "grid_lo", -5.0),
-        cfg.get_float("unify", "grid_hi", 5.0),
-        n,
-    )
-    _archive(cfg, outdir)
-    report = unification_check(problem, grid, rule)
+    grid = np.linspace(cfg.get_float("unify", "grid_lo", -5.0),
+                       cfg.get_float("unify", "grid_hi", 5.0), n)
 
-    write_csv(
-        outdir / f"{cfg.name}_unify.csv",
-        ["x", "y", "K_green", "K_analytic", "K_resolvent_sym", "rel_dev"],
-        [report.x, report.y, report.K_green, report.K_analytic,
-         report.K_resolvent_sym, report.rel_dev],
-    )
-    metrics = _base_metrics(cfg)
-    metrics.update(
-        c=problem.c, lam=problem.lam, grid_n=n, rule_n=rule.n, scheme=rule.scheme,
-        scalar=report.scalar,
-        max_rel_dev=report.max_rel_dev,
-        diag_dev=report.diag_dev,
-    )
-    write_metrics(outdir / f"{cfg.name}_metrics.txt", metrics)
+    def run():
+        report = unification_check(problem, grid, rule)
+        unify = {"x": report.x, "y": report.y, "K_green": report.K_green,
+                 "K_analytic": report.K_analytic, "K_resolvent_sym": report.K_resolvent_sym,
+                 "rel_dev": report.rel_dev}
+        metrics = dict(
+            c=problem.c, lam=problem.lam, grid_n=n, rule_n=rule.n, scheme=rule.scheme,
+            scalar=report.scalar,
+            max_rel_dev=report.max_rel_dev,
+            diag_dev=report.diag_dev,
+        )
+        return {"unify": unify}, metrics
+    return run
 
 
 _RUNNERS = {
@@ -401,12 +348,13 @@ def _load_config(args) -> ExperimentConfig:
 
 def _dispatch(args) -> int:
     if args.command == "list-systems":
-        for name in builtin_system_names():
-            print(name)
+        print("\n".join(builtin_system_names()))
         return 0
     cfg = _load_config(args)
     if not cfg.name:
         raise ConfigurationError("experiment name must be nonempty")
+    if "/" in cfg.name or os.sep in cfg.name:
+        raise ConfigurationError(f"experiment name {cfg.name!r} must be a plain file name")
     if cfg.command != args.command:
         raise ConfigurationError(
             f"config is for command {cfg.command!r} but {args.command!r} was invoked"
@@ -415,7 +363,25 @@ def _dispatch(args) -> int:
     if version != SCHEMA_VERSION:
         raise ConfigurationError(
             f"config schema_version {version!r} is not the supported {SCHEMA_VERSION!r}")
-    _RUNNERS[args.command](cfg, pathlib.Path(args.out))
+    compute = _RUNNERS[args.command](cfg)
+    unread = cfg.unread_keys()
+    if unread:
+        raise ConfigurationError(
+            f"the {cfg.command} command does not read {', '.join(unread)}")
+    outdir = pathlib.Path(args.out)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory {outdir}: {exc}") from exc
+    _write(outdir / f"{cfg.name}_config.ini", cfg.to_string())
+    tables, entries = compute()
+    # form every text first, so a bad table or metric leaves only the config
+    texts = {f"{suffix}.csv": _csv(table) for suffix, table in tables.items()}
+    texts["metrics.txt"] = _metrics(dict(experiment=cfg.name, command=cfg.command,
+                                         schema_version=SCHEMA_VERSION,
+                                         package_version=__version__, **entries))
+    for suffix, text in texts.items():
+        _write(outdir / f"{cfg.name}_{suffix}", text)
     return 0
 
 

@@ -347,6 +347,10 @@ def flow(
     ``on_step(k, x)``, when given, is called after step k (0-based) with
     the state ``x`` it reached, at time (k + 1) dt.  No other states are
     kept.
+
+    A lone state runs as a batch of one, so it gets the bits it would get
+    inside any batch: indexing a lone state would hand the field numpy
+    scalars, whose ``u ** 2`` can differ from an array's in the last bit.
     """
     d = {"forward": 1, "backward": -1, 1: 1, -1: -1}.get(direction)
     if d is None:
@@ -356,14 +360,16 @@ def flow(
         raise DimensionMismatchError(
             f"initial state dimension {x.shape[-1]} != system dimension {sys.dim}"
         )
+    lone = x.ndim == 1
+    x = x[None] if lone else x
     dt = d * cfg.dt
     for k in range(cfg.M):
         x = _rk4_step(sys.f, x, dt)
         if not np.max(np.abs(x), initial=0.0) <= DEFAULT_ESCAPE_RADIUS:
             raise FlowEscapeError(escape_time=(k + 1) * cfg.dt, radius=DEFAULT_ESCAPE_RADIUS)
         if on_step is not None:
-            on_step(k, x)
-    return x
+            on_step(k, x[0] if lone else x)
+    return x[0] if lone else x
 
 
 def characteristic_identity_residual(

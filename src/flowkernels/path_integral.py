@@ -95,7 +95,8 @@ def xi_values(ev: XiEvaluator, X) -> np.ndarray:
     a single state (dim,) gives a float.  Complex states stay complex."""
     X = np.asarray(X)
     end = flow(ev.system, X, ev.plan, direction=ev.direction)
-    out = ((end - ev.system.equilibrium) @ ev.w) / ev.plan.linear_growth(abs(ev.lam))
+    # an elementwise sum rounds a lone state as a batch row; @ would not
+    out = ((end - ev.system.equilibrium) * ev.w).sum(axis=-1) / ev.plan.linear_growth(abs(ev.lam))
     return float(out) if X.ndim == 1 else out
 
 
@@ -123,6 +124,8 @@ def theoretical_residual(ev: XiEvaluator, X) -> np.ndarray:
     :func:`residual_values` converges to this as the flow's error vanishes.
     """
     X = np.asarray(X, dtype=float)
-    end = flow(ev.system, X, ev.plan, direction=ev.direction)
-    out = np.exp(-ev.lam * ev.direction * ev.T) * (nonlinear_part(ev.system, ev.lin, end) @ ev.w)
-    return float(out) if X.ndim == 1 else out
+    # the field of a lone state, like its flow, is evaluated on a batch of one
+    end = flow(ev.system, np.atleast_2d(X), ev.plan, direction=ev.direction)
+    fnl = nonlinear_part(ev.system, ev.lin, end)
+    out = np.exp(-ev.lam * ev.direction * ev.T) * (fnl * ev.w).sum(axis=-1)
+    return float(out[0]) if X.ndim == 1 else out

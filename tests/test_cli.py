@@ -15,7 +15,9 @@ from flowkernels import kernels
 from flowkernels.advection import AdvectionProblem, QuadratureRule
 from flowkernels.cli import main
 from flowkernels.config import ExperimentConfig, preset, preset_names
+from flowkernels.errors import NumericalError
 from flowkernels.mkl import MKLConfig
+from flowkernels.spectral import mercer_decompose
 
 
 def read_metrics(path):
@@ -263,6 +265,30 @@ class TestExitCodes:
         assert main([cfg.command, "--config", path, "--out", str(tmp_path)]) == 2
         assert "category=config" in capsys.readouterr().err
 
+    def test_failure_after_archive_leaves_only_the_config(self, tmp_path, capsys, monkeypatch):
+        # the MKL pruned refit runs after the weights and the solution are
+        # known, but no result file is written before the run completes
+        def refit_fails(*args, **kwargs):
+            raise NumericalError("refit failed")
+
+        monkeypatch.setattr("flowkernels.cli.refit_pruned", refit_fails)
+        out = tmp_path / "out"
+        assert main(["mkl", "--preset", "poly2d_mkl_l2eig", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "category=numerical reason=refit failed" in err
+        assert [p.name for p in out.iterdir()] == ["poly2d_mkl_l2eig_config.ini"]
+
+    def test_out_is_a_file_is_io(self, tmp_path, capsys):
+        path = write_config(tmp_path, MERCER_INI)
+        out = tmp_path / "taken"
+        out.write_text("not a directory", encoding="utf-8")
+        assert main(["mercer", "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("flowkernels: error category=io reason=cannot create output")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "taken"]
+        assert out.read_text(encoding="utf-8") == "not a directory"
+
     def test_validation_precedes_numerics(self, tmp_path):
         # an invalid grid in an otherwise runnable config must exit 2, not 3
         bad = ESCAPE_INI.replace("counts = 3, 3", "counts = 3")
@@ -307,6 +333,11 @@ _CONFIG_CASES = {
                                "mkl", 2),
     "schema_version_unknown": (_edit(MERCER_INI, "schema_version = 1", "schema_version = 2"),
                                "mercer", 2),
+    # the name is a plain file name, so no artifact lands beside or below --out
+    "name_in_subdirectory": (_edit(MERCER_INI, "name = gauss_modes", "name = sub/gauss_modes"),
+                             "mercer", 2),
+    "name_outside_out": (_edit(MERCER_INI, "name = gauss_modes", "name = ../escaped"),
+                         "mercer", 2),
     "bounds_nan": (_edit(MERCER_INI, "-1:1, -1:1", "-1:nan, -1:1"), "mercer", 2),
     "bounds_inf": (_edit(MERCER_INI, "-1:1, -1:1", "-1:1, -inf:1"), "mercer", 2),
     "system_argument_nan": (_edit(ESCAPE_INI, "name = poly2d", "name = linear_test(nan, -2)"),
@@ -331,6 +362,8 @@ _CONFIG_REASONS = {
     "solve_penalty_typo": "solve command does not read [penalties] mu_trac",
     "mkl_boundary_penalties": "[penalties] boundary, [penalties] mu_trace",
     "schema_version_unknown": "schema_version '2'",
+    "name_in_subdirectory": "'sub/gauss_modes' must be a plain file name",
+    "name_outside_out": "'../escaped' must be a plain file name",
     "system_argument_nan": "argument 1 of system 'linear_test(nan, -2)' is not finite",
     "system_argument_inf": "argument 1 of system 'duffing(inf)' is not finite",
 }
@@ -554,6 +587,13 @@ class TestSchemas:
         header, body = read_csv_columns(tmp_path / "gauss_modes_modes.csv")
         assert header == ["x1", "x2", "psi_1", "psi_2", "psi_3"]
         assert len(body) == 81
+        # the decomposition's modes, each signed so its largest entry is positive
+        table = np.array([[float(v) for v in row] for row in body])
+        psi = table[:, 2:]
+        modes = mercer_decompose(kernels.make_kernel("gaussian", gamma=1.0),
+                                 grid=table[:, :2]).modes[:, :3]
+        np.testing.assert_array_equal(np.abs(psi), np.abs(modes))
+        assert np.all(psi[np.abs(psi).argmax(axis=0), [0, 1, 2]] > 0)
 
     def test_xi_csv(self, tmp_path):
         cfg_text = ESCAPE_INI.replace("index = 0", "index = 1")

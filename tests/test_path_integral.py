@@ -285,8 +285,7 @@ def test_transport_identity_along_flow(duffing):
 
 def test_characteristic_identity_batch_matches_per_state(poly, duffing):
     # one flow of the whole batch gives each state the bits of its own call
-    # wherever phi does too; xi_values projects a lone state with a dot and a
-    # batch with a matrix-vector product, which can differ in the last bit
+    # wherever phi does too
     u = dyn.poly2d_reference_eigenfunctions()[-1.0]
     s, lin = duffing
     ev = pi.XiEvaluator(s, lin, lin.eigenvalues[0], T=2.0, M=400)
@@ -294,7 +293,7 @@ def test_characteristic_identity_batch_matches_per_state(poly, duffing):
     cfg = dyn.IntegratorConfig(1e-2, 1)
     cases = [(poly[0], u, -1.0, 0.0),
              (s, lambda z: z[..., 0] - z[..., 1] ** 2, ev.lam, 0.0),
-             (s, ev, ev.lam, 1e-14)]
+             (s, ev, ev.lam, 0.0)]
     for system, phi, lam, rtol in cases:
         for t in (0.4, -0.3):
             batch = dyn.characteristic_identity_residual(system, phi, lam, x0, t, cfg)
@@ -303,6 +302,26 @@ def test_characteristic_identity_batch_matches_per_state(poly, duffing):
             assert batch.shape == (2, 3)
             assert all(type(r) is float for row in single for r in row)
             np.testing.assert_allclose(batch, single, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("name, rate, box", [("duffing", 0.78, 1.5), ("poly2d", -1.0, 0.5),
+                                             ("poly2d", 3.0, 0.5), ("cubic1d", 1.0, 0.9)],
+                         ids=["duffing", "poly2d_slow", "poly2d_fast", "cubic1d"])
+def test_lone_state_gets_its_batch_bits(name, rate, box):
+    # a lone state flows as a batch of one and is projected by the same
+    # elementwise sum, so nothing rounds it differently from a batch row
+    s = dyn.make_system(name)
+    lin = dyn.linearize(s)
+    lam = lin.eigenvalues[np.argmin(np.abs(lin.eigenvalues - rate))]
+    ev = pi.XiEvaluator(s, lin, lam, T=1.0, M=100)
+    X = np.random.default_rng(41).uniform(-box, box, (60, s.dim))
+    cfg = dyn.IntegratorConfig(1e-2, 1)
+    for fn in (ev, lambda Z: pi.theoretical_residual(ev, Z),
+               lambda Z: dyn.characteristic_identity_residual(s, ev, lam, Z, -0.3, cfg)):
+        batch = fn(X)
+        lone = [fn(x) for x in X]
+        assert all(type(v) is float for v in lone)
+        np.testing.assert_array_equal(batch, lone)
 
 
 # ----------------------------------------------------------------------------
