@@ -15,7 +15,7 @@ system = make_system("cubic1d")
 X = tensor_grid([(-0.99, 0.99)], [199])
 reference = reference_eigenfunction("cubic1d", 1.0)
 
-penalties = PenaltyConfig(boundary=True)   # trace and layer weights 1e2 on X's boundary points
+penalties = PenaltyConfig(mu_trace=1e2, mu_layer=1e2)   # on X's boundary points
 
 print(f"{'kernel':<14} {'residual':>12} {'rmse raw':>12} {'rmse rescaled':>14}")
 for name, kern in [

@@ -144,7 +144,7 @@ def _grid_points(cfg: ExperimentConfig) -> np.ndarray:
 
 
 _PARSERS = {float: ExperimentConfig.get_float, int: ExperimentConfig.get_int,
-            bool: ExperimentConfig.get_bool, str: ExperimentConfig.get}
+            str: ExperimentConfig.get}
 
 
 def _settings(cfg: ExperimentConfig, section: str, cls, *names, **keys) -> dict:
@@ -159,7 +159,7 @@ def _settings(cfg: ExperimentConfig, section: str, cls, *names, **keys) -> dict:
 
 def _penalties(cfg: ExperimentConfig) -> PenaltyConfig:
     return PenaltyConfig(**_settings(cfg, "penalties", PenaltyConfig,
-                                     "eta", "mu_grad", "mu_trace", "mu_layer", "boundary"))
+                                     "eta", "mu_grad", "mu_trace", "mu_layer"))
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +195,6 @@ def _run_solve(cfg: ExperimentConfig) -> Callable[[], tuple]:
 
 
 def _run_mkl(cfg: ExperimentConfig) -> Callable[[], tuple]:
-    bank = cfg.get("kernel", "bank", "default11")
-    if bank != "default11":
-        raise ConfigurationError(f"unknown kernel bank {bank!r}")
     system, _, lam = _system(cfg)
     X = _grid_points(cfg)
     mcfg = MKLConfig(**_settings(cfg, "penalties", MKLConfig, "eta", "mu_grad"),

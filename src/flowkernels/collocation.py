@@ -73,17 +73,17 @@ class PenaltyConfig:
     """Weights for the quadratic penalty terms.
 
     mu_grad must be positive: without the gradient anchor the zero
-    function minimizes everything.  With ``boundary`` on, phi is also
-    penalized on the problem's own ``grids.boundary_sets`` points: mu_trace
-    weighs its squared values on the outermost points and mu_layer their
-    mean square on the near-boundary band; a zero weight drops its term.
+    function minimizes everything.  A positive mu_trace or mu_layer also
+    penalizes phi on the problem's own ``grids.boundary_sets`` points:
+    mu_trace weighs its squared values on the outermost points and mu_layer
+    their mean square on the near-boundary band; a zero weight, the
+    default, drops its term.
     """
 
     eta: float = 1e-8
     mu_grad: float = 1e4
-    mu_trace: float = 1e2
-    mu_layer: float = 1e2
-    boundary: bool = False
+    mu_trace: float = 0.0
+    mu_layer: float = 0.0
 
     def __post_init__(self):
         for name in ("eta", "mu_grad", "mu_trace", "mu_layer"):
@@ -163,7 +163,7 @@ def _penalty_rows(problem: CollocationProblem, C: np.ndarray):
     gradients at the anchor, and the kernel rows of the boundary terms."""
     X, kern, pen = problem.points, problem.kernel, problem.penalties
     G0 = _kernel_gradients(kern, problem.anchor_point, C)
-    trace, layer = boundary_sets(X) if pen.boundary else (X[:0], X[:0])
+    trace, layer = boundary_sets(X)
     T = np.empty((0, len(C)))
     if pen.mu_trace > 0 and len(trace):
         T = kern.pairwise(trace, C)

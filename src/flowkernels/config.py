@@ -29,17 +29,6 @@ _SECTION_ORDER = (
 
 SCHEMA_VERSION = "1"
 
-_BOOLS = {"on": True, "true": True, "yes": True, "1": True,
-          "off": False, "false": False, "no": False, "0": False}
-
-
-def _parse_bool(v: str) -> bool:
-    try:
-        return _BOOLS[v.strip().lower()]
-    except KeyError:
-        raise ValueError(v) from None
-
-
 def _parse_finite(v: str) -> float:
     if not math.isfinite(x := float(v)):
         raise ValueError(v)
@@ -84,9 +73,6 @@ class ExperimentConfig:
 
     def get_int(self, section: str, key: str, default: Optional[int] = None) -> int:
         return self._parsed(section, key, default, int, "an integer")
-
-    def get_bool(self, section: str, key: str, default: Optional[bool] = None) -> bool:
-        return self._parsed(section, key, default, _parse_bool, "a boolean")
 
     # -- derived values ------------------------------------------------------
 
@@ -180,7 +166,7 @@ def _cubic1d_solve(name: str, kernel: Dict[str, str]) -> ExperimentConfig:
     s["grid"] = {"bounds": "-0.99:0.99", "counts": "199"}
     s["penalties"] = {
         "eta": "1e-8", "mu_grad": "1e4",
-        "mu_trace": "1e2", "mu_layer": "1e2", "boundary": "on",
+        "mu_trace": "1e2", "mu_layer": "1e2",
     }
     return ExperimentConfig(sections=s)
 
@@ -189,7 +175,6 @@ def _poly2d_mkl(name: str, eig_index: int) -> ExperimentConfig:
     s = _base(name, "mkl")
     s["system"] = {"name": "poly2d"}
     s["eigenvalue"] = {"index": str(eig_index)}
-    s["kernel"] = {"bank": "default11"}
     s["grid"] = {"bounds": "-1:1, -1:1", "counts": "21, 21"}
     s["penalties"] = {"eta": "1e-8", "mu_grad": "1e4"}
     s["mkl"] = {"tau": "0.1", "max_iter": "200", "gtol": "1e-6"}

@@ -236,13 +236,14 @@ def make_system(name: str) -> SystemDef:
 # ----------------------------------------------------------------------------
 
 def eval_field(sys: SystemDef, x: np.ndarray) -> np.ndarray:
-    """Evaluate f(x); x may be a single state (dim,) or a batch (..., dim)."""
+    """Evaluate f(x); x may be a single state (dim,) or a batch (..., dim).
+    A lone state runs as a batch of one, so it gets its bits in any batch."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != sys.dim:
         raise DimensionMismatchError(
             f"state has dimension {x.shape[-1]}, system {sys.name!r} needs {sys.dim}"
         )
-    return sys.f(x)
+    return sys.f(x[None])[0] if x.ndim == 1 else sys.f(x)
 
 
 def linearize(sys: SystemDef) -> LinearizationInfo:

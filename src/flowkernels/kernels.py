@@ -274,7 +274,7 @@ class ExponentialKernel(RadialKernel):
     def profile(self, r2):
         r = np.sqrt(r2)
         k = np.exp(-self.gamma * r)
-        return k, 1.0, lambda: np.where(r > 0, -self.gamma * k / np.where(r > 0, r, 1.0), 0.0)
+        return k, 1.0, lambda: np.divide(-self.gamma * k, r, out=np.zeros_like(r), where=r > 0)
 
 
 class CauchyKernel(RadialKernel):
@@ -321,7 +321,7 @@ class TriangularKernel(RadialKernel):
 
         def slope():
             inside = (r <= self.sigma) & (r > 0)
-            return np.where(inside, -1.0 / (self.sigma * np.where(r > 0, r, 1.0)), 0.0)
+            return np.divide(-1.0, self.sigma * r, out=np.zeros_like(r), where=inside)
 
         return np.maximum(0.0, 1.0 - r / self.sigma), 1.0, slope
 

@@ -124,8 +124,7 @@ def theoretical_residual(ev: XiEvaluator, X) -> np.ndarray:
     :func:`residual_values` converges to this as the flow's error vanishes.
     """
     X = np.asarray(X, dtype=float)
-    # the field of a lone state, like its flow, is evaluated on a batch of one
-    end = flow(ev.system, np.atleast_2d(X), ev.plan, direction=ev.direction)
+    end = flow(ev.system, X, ev.plan, direction=ev.direction)
     fnl = nonlinear_part(ev.system, ev.lin, end)
     out = np.exp(-ev.lam * ev.direction * ev.T) * (fnl * ev.w).sum(axis=-1)
-    return float(out[0]) if X.ndim == 1 else out
+    return float(out) if X.ndim == 1 else out

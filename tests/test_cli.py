@@ -308,8 +308,9 @@ _CONFIG_CASES = {
     "counts_not_integer": (_edit(MERCER_INI, "counts = 9, 9", "counts = 9, 9.5"), "mercer", 2),
     "no_eigenvalue_section": (_edit(NO_RIDGE_INI, "[eigenvalue]\nindex = 1\n", ""), "solve", 2),
     "no_horizon": (_edit(ESCAPE_INI, "T = 10\n", ""), "path-integral", 2),
-    "unknown_bank": (_edit(preset("poly2d_mkl_l1").to_string(), "bank = default11",
-                           "bank = other"), "mkl", 2),
+    # MKL runs the one default bank; a bank key names nothing it reads
+    "unknown_bank": (_edit(preset("poly2d_mkl_l1").to_string(), "[grid]",
+                           "[kernel]\nbank = default11\n\n[grid]"), "mkl", 2),
     "mkl_max_iter_negative": (_edit(preset("poly2d_mkl_l1").to_string(), "max_iter = 200",
                                     "max_iter = -3"), "mkl", 2),
     "mkl_gtol_nan": (_edit(preset("poly2d_mkl_l1").to_string(), "gtol = 1e-6",
@@ -328,6 +329,9 @@ _CONFIG_CASES = {
                                     "command = mercer\nseed = 0\n"), "mercer", 2),
     "solve_penalty_typo": (_edit(preset("poly2d_kernel_study").to_string(), "mu_grad = 1e4\n",
                                  "mu_grad = 1e4\nmu_trac = -1\n"), "solve", 2),
+    # a boundary term is on exactly when its weight is positive; no switch
+    "solve_boundary_switch": (_edit(preset("cubic1d_singular").to_string(), "mu_layer = 1e2\n",
+                                    "mu_layer = 1e2\nboundary = on\n"), "solve", 2),
     "mkl_boundary_penalties": (_edit(preset("poly2d_mkl_l1").to_string(), "mu_grad = 1e4\n",
                                      "mu_grad = 1e4\nboundary = on\nmu_trace = -5\n"),
                                "mkl", 2),
@@ -360,6 +364,8 @@ _CONFIG_REASONS = {
     "mercer_with_system": "mercer command does not read [system] name",
     "unread_experiment_key": "[experiment] seed",
     "solve_penalty_typo": "solve command does not read [penalties] mu_trac",
+    "unknown_bank": "mkl command does not read [kernel] bank",
+    "solve_boundary_switch": "solve command does not read [penalties] boundary",
     "mkl_boundary_penalties": "[penalties] boundary, [penalties] mu_trace",
     "schema_version_unknown": "schema_version '2'",
     "name_in_subdirectory": "'sub/gauss_modes' must be a plain file name",
@@ -526,17 +532,21 @@ class TestLibraryDefaults:
         assert int(m["rule_n"]) == QuadratureRule.n and m["scheme"] == QuadratureRule.scheme
         assert float(m["c"]) == AdvectionProblem.c and float(m["lam"]) == AdvectionProblem.lam
 
-    def test_boundary_weights_default_to_the_library(self, tmp_path):
+    def test_left_out_boundary_weights_are_zero(self, tmp_path):
         cfg = preset("cubic1d_singular")
-        bare = _edit(cfg.to_string(), "mu_trace = 1e2\nmu_layer = 1e2\n", "")
-        path = write_config(tmp_path, bare)
-        assert main(["solve", "--config", path, "--out", str(tmp_path / "bare")]) == 0
-        assert main(["solve", "--preset", cfg.name, "--out", str(tmp_path / "preset")]) == 0
+        text = cfg.to_string()
+        bare = _edit(text, "mu_trace = 1e2\nmu_layer = 1e2\n", "")
+        zero = _edit(text, "mu_trace = 1e2\nmu_layer = 1e2\n", "mu_trace = 0\nmu_layer = 0\n")
+        for label, body in (("bare", bare), ("zero", zero), ("preset", text)):
+            path = write_config(tmp_path, body, name=f"{label}.ini")
+            assert main(["solve", "--config", path, "--out", str(tmp_path / label)]) == 0
         name = f"{cfg.name}_solution.csv"
-        assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "preset" / name).read_bytes()
+        solution = {label: (tmp_path / label / name).read_bytes()
+                    for label in ("bare", "zero", "preset")}
+        assert solution["bare"] == solution["zero"] != solution["preset"]
 
     @pytest.mark.parametrize("key", ["mu_trace", "mu_layer"])
-    def test_boundary_weight_checked_with_boundary_off(self, key, tmp_path, capsys):
+    def test_negative_boundary_weight_is_a_config_error(self, key, tmp_path, capsys):
         text = _edit(preset("poly2d_kernel_study").to_string(), "mu_grad = 1e4\n",
                      f"mu_grad = 1e4\n{key} = -1\n")
         path = write_config(tmp_path, text)

@@ -1,5 +1,6 @@
 """Penalized collocation solver: assembly, solve, diagnostics, rescaling."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -63,6 +64,13 @@ class TestProblemValidation:
         with pytest.raises(ConfigurationError):
             PenaltyConfig(mu_grad=0.0)
 
+    def test_penalties_are_four_weights_with_boundary_terms_off_by_default(self):
+        # a boundary term is on exactly when its weight is positive
+        assert {f.name: f.default for f in dataclasses.fields(PenaltyConfig)} == {
+            "eta": 1e-8, "mu_grad": 1e4, "mu_trace": 0.0, "mu_layer": 0.0}
+        with pytest.raises(TypeError, match="boundary"):
+            PenaltyConfig(boundary=True)
+
     def test_for_eigenvalue_fills_anchor_from_linearization(self):
         sys2 = make_system("poly2d")
         prob = CollocationProblem.for_eigenvalue(
@@ -125,7 +133,7 @@ class TestAssemble:
         trace, layer = boundary_sets(pts)
         prob = CollocationProblem.for_eigenvalue(
             make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3), pts,
-            PenaltyConfig(boundary=True),
+            PenaltyConfig(mu_trace=1e2, mu_layer=1e2),
         )
         asm = assemble(prob)
         assert asm.T.shape == (len(trace), len(pts))
@@ -136,10 +144,12 @@ class TestAssemble:
 
     @pytest.mark.parametrize("boundary", [True, False])
     def test_boundary_rows_are_the_problems_boundary_sets(self, boundary):
+        # positive weights give the rows of the grid's boundary sets; zero
+        # weights, the default, give no rows at all
         pts = tensor_grid([(-1, 1), (-1, 1)], 7)
         prob = CollocationProblem.for_eigenvalue(
             make_system("poly2d"), -1.0, make_kernel("gaussian", gamma=1.0), pts,
-            PenaltyConfig(boundary=boundary),
+            PenaltyConfig(mu_trace=1e2, mu_layer=1e2) if boundary else PenaltyConfig(),
         )
         asm = assemble(prob)
         trace, layer = boundary_sets(pts) if boundary else (pts[:0], pts[:0])
@@ -152,7 +162,7 @@ class TestAssemble:
         pts = cubic_grid()
         prob = CollocationProblem.for_eigenvalue(
             make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3), pts,
-            PenaltyConfig(mu_trace=0.0, boundary=True),
+            PenaltyConfig(mu_layer=1e2),
         )
         asm = assemble(prob)
         assert asm.T.shape == (0, len(pts))
@@ -164,7 +174,7 @@ class TestSolve:
         pts = cubic_grid()
         prob = CollocationProblem.for_eigenvalue(
             make_system("cubic1d"), 1.0, make_kernel("singular_1d"), pts,
-            PenaltyConfig(boundary=True),
+            PenaltyConfig(mu_trace=1e2, mu_layer=1e2),
         )
         sol = solve(prob, reference=cubic_reference)
         assert sol.rmse_rescaled <= 5e-4
@@ -173,7 +183,7 @@ class TestSolve:
         pts = cubic_grid()
         prob = CollocationProblem.for_eigenvalue(
             make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3),
-            pts, PenaltyConfig(boundary=True),
+            pts, PenaltyConfig(mu_trace=1e2, mu_layer=1e2),
         )
         sol = solve(prob, reference=cubic_reference)
         assert sol.rmse_rescaled >= 0.5
@@ -226,7 +236,7 @@ class TestSolve:
         pts = cubic_grid()
         prob = CollocationProblem.for_eigenvalue(
             make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3), pts,
-            PenaltyConfig(boundary=True),
+            PenaltyConfig(mu_trace=1e2, mu_layer=1e2),
         )
         asm = assemble(prob)
         pen = prob.penalties
@@ -258,7 +268,7 @@ class TestSolve:
         kern = make_kernel("gaussian", ell=0.3)
         sums = []
         for mu_t in (1.0, 1e2, 1e4):
-            pen = PenaltyConfig(mu_trace=mu_t, mu_layer=0.0, boundary=True)
+            pen = PenaltyConfig(mu_trace=mu_t)
             sol = solve(CollocationProblem.for_eigenvalue(sys1, 1.0, kern, pts, pen))
             sums.append(float(np.sum(evaluate(sol, trace) ** 2)))
         assert sums[1] <= sums[0] + 1e-12

@@ -40,3 +40,34 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == []
+
+
+def _private_definitions(tree):
+    """The module-level functions, classes and assigned names of tree whose
+    names start with one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_no_unused_private_names():
+    # a private helper, class or constant that nothing reads is dead code
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in pathlib.Path(flowkernels.__file__).parent.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    unused = sorted(f"{path.stem}.{name}" for path, tree in trees.items()
+                    for name in _private_definitions(tree) if name not in read)
+    assert unused == []
