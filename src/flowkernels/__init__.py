@@ -26,7 +26,7 @@ from .dynamics import (
     make_system,
 )
 from .kernels import Kernel, KernelMixture, kernel_family_names, make_kernel
-from .grids import boundary_sets, tensor_grid
+from .grids import tensor_grid
 from .collocation import (
     CollocationProblem,
     PenaltyConfig,
@@ -71,7 +71,6 @@ __all__ = [
     "UnknownEigenvalueError",
     "UnsupportedSpectrumError",
     "XiEvaluator",
-    "boundary_sets",
     "builtin_system_names",
     "evaluate",
     "flow",

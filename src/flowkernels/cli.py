@@ -158,8 +158,7 @@ def _settings(cfg: ExperimentConfig, section: str, cls, *names, **keys) -> dict:
 
 
 def _penalties(cfg: ExperimentConfig) -> PenaltyConfig:
-    return PenaltyConfig(**_settings(cfg, "penalties", PenaltyConfig,
-                                     "eta", "mu_grad", "mu_trace", "mu_layer"))
+    return PenaltyConfig(**_settings(cfg, "penalties", PenaltyConfig, "eta", "mu_grad"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 The eigenfunction is sought as phi(x) = sum_j alpha_j K(x, x_j).  The
 coefficients minimize the mean-square PDE residual of f . grad(phi) =
-lam * phi over the collocation points, plus a ridge term, a gradient
+lam * phi over the collocation points, plus a ridge term and a gradient
 anchor at the equilibrium (pinning grad(phi) to the left eigenvector so
-the zero function is excluded), and optional boundary penalties.  The
-objective is a strictly convex quadratic, so the solve is one symmetric
-positive-definite factorization.
+the zero function is excluded).  The objective is a strictly convex
+quadratic, so the solve is one symmetric positive-definite factorization.
+There is no boundary penalty: the eigenfunction blows up at the other
+attractors, on or near the grid's edge, so pulling phi toward 0 there works
+against the residual and the anchor (measured in README, "Command line").
 
 ``solve`` first runs a P-greedy pivoted Cholesky of the Gram matrix.  If the
 largest remaining diagonal falls to N eps max diag within N // 16 steps, phi
@@ -20,11 +22,11 @@ as much for the same error (README, "Known numerical limitations").
 
 Both bases take one path.  ``residual_rows`` fills B = D - lam K and the
 Gram matrix K together, one row panel of at most ``_PANEL_ENTRIES`` B and K
-entries at a time, into two reused buffers.  Each panel, and the anchor and
-boundary rows G0, T and Y, is mapped by the basis: the identity on all
-points, and P -> P Lc^-T on the centers.  scipy's BLAS adds the mapped
-panel's B.T B to the normal matrix, in the Fortran order that LAPACK
-factors in place, before the next panel is filled.  So a solve holds one
+entries at a time, into two reused buffers.  Each panel, and the anchor
+rows G0, is mapped by the basis: the identity on all points, and
+P -> P Lc^-T on the centers.  scipy's BLAS adds the mapped panel's B.T B
+to the normal matrix, in the Fortran order that LAPACK factors in place,
+before the next panel is filled.  So a solve holds one
 basis-sized square array, the normal matrix, which becomes its own Cholesky
 factor, and one panel of B and K.  On the full basis that is 2.06 N^2
 doubles under tracemalloc at N = 1681 (exponential kernel, two panels) and
@@ -37,7 +39,7 @@ One BLAS thread pool on the solve path: numpy and scipy each load their own
 OpenBLAS, each with its own threads, and a large product on numpy's pool just
 before scipy's Cholesky stalls the factor.  So every large matrix-vector
 product here and in MKL goes through ``_matvec`` to scipy's BLAS, and
-``_normal_equations`` keeps its penalty products below the size at which
+``_normal_equations`` keeps its anchor product below the size at which
 OpenBLAS starts threads.
 """
 
@@ -51,7 +53,6 @@ import scipy.linalg
 
 from .dynamics import SystemDef, eval_field, linearize
 from .errors import ConfigurationError, NumericalError
-from .grids import boundary_sets
 from .kernels import Kernel, _fill_rows
 
 __all__ = [
@@ -70,23 +71,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Weights for the quadratic penalty terms.
+    """Weights of the ridge (eta) and of the gradient anchor (mu_grad).
 
     mu_grad must be positive: without the gradient anchor the zero
-    function minimizes everything.  A positive mu_trace or mu_layer also
-    penalizes phi on the problem's own ``grids.boundary_sets`` points:
-    mu_trace weighs its squared values on the outermost points and mu_layer
-    their mean square on the near-boundary band; a zero weight, the
-    default, drops its term.
+    function minimizes everything.
     """
 
     eta: float = 1e-8
     mu_grad: float = 1e4
-    mu_trace: float = 0.0
-    mu_layer: float = 0.0
 
     def __post_init__(self):
-        for name in ("eta", "mu_grad", "mu_trace", "mu_layer"):
+        for name in ("eta", "mu_grad"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ConfigurationError(f"{name} must be finite and >= 0, got {v}")
@@ -128,12 +123,10 @@ class CollocationProblem:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Matrices of the quadratic objective, rows = penalty equations."""
+    """Matrices of the quadratic objective: the residual rows and the anchor rows."""
 
     B: np.ndarray       # (N, M) PDE residual: B_ij = f(x_i).grad_x K(x_i,c_j) - lam K(x_i,c_j)
     G0: np.ndarray      # (dim, M) kernel gradients at the anchor
-    T: np.ndarray       # (n_trace, M) kernel values at trace points
-    Y: np.ndarray       # (n_layer, M) kernel values at layer points / sqrt(n_layer)
 
 
 def _kernel_gradients(kernel: Kernel, x: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -158,28 +151,13 @@ def residual_rows(kernel: Kernel, F: np.ndarray, lam: float, X: np.ndarray, C: n
     return rows
 
 
-def _penalty_rows(problem: CollocationProblem, C: np.ndarray):
-    """(G0, T, Y) of the objective for the basis points C: the kernel
-    gradients at the anchor, and the kernel rows of the boundary terms."""
-    X, kern, pen = problem.points, problem.kernel, problem.penalties
-    G0 = _kernel_gradients(kern, problem.anchor_point, C)
-    trace, layer = boundary_sets(X)
-    T = np.empty((0, len(C)))
-    if pen.mu_trace > 0 and len(trace):
-        T = kern.pairwise(trace, C)
-    Y = np.empty((0, len(C)))
-    if pen.mu_layer > 0 and len(layer):
-        Y = kern.pairwise(layer, C) / np.sqrt(len(layer))
-    return G0, T, Y
-
-
 def assemble(problem: CollocationProblem, centers=None) -> AssembledSystem:
     """The objective's matrices for phi expanded on all points or on centers."""
     X = problem.points
     C = X if centers is None else X[centers]
     rows = residual_rows(problem.kernel, eval_field(problem.system, X), problem.lam, X, C)
     return AssembledSystem(_fill_rows(rows, np.empty((len(X), len(C))))[0],
-                           *_penalty_rows(problem, C))
+                           _kernel_gradients(problem.kernel, problem.anchor_point, C))
 
 
 @dataclass(frozen=True)
@@ -241,10 +219,10 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return scipy.linalg.blas.dgemv(1.0, A.T, x, trans=1)
 
 
-def _normal_equations(panels, eta: float, terms) -> np.ndarray:
-    """B.T B / n + eta I + sum of mu M.T M over the (mu, M) pairs in terms,
-    accumulated in place in that order (pairs with an empty M skipped) in the
-    lower triangle of a Fortran-ordered array, which LAPACK factors as is.
+def _normal_equations(panels, eta: float, mu_grad: float, G0: np.ndarray) -> np.ndarray:
+    """B.T B / n + eta I + mu_grad G0.T G0, accumulated in place in that
+    order in the lower triangle of a Fortran-ordered array, which LAPACK
+    factors as is.
     B comes as its row panels in order: SYRK forms the first panel's B.T B
     and adds each later one with beta = 1, so a single panel is B.T B."""
     syrk = scipy.linalg.blas.dsyrk
@@ -257,22 +235,19 @@ def _normal_equations(panels, eta: float, terms) -> np.ndarray:
         n += P.shape[0]
     A /= n
     A.flat[:: A.shape[0] + 1] += eta
-    for mu, M in terms:
-        if M.size:
-            # 32 columns: no (N, N) temporary, and, by the one-pool rule, products too
-            # small to wake numpy's BLAS threads before scipy's POTRF (256: +0.25 s
-            # per N=3721 solve, 2 cores)
-            P = mu * M.T
-            for j in range(0, A.shape[1], 32):
-                A[:, j:j + 32] += P @ M[:, j:j + 32]
+    # 32 columns: no (N, N) temporary, and, by the one-pool rule, products too
+    # small to wake numpy's BLAS threads before scipy's POTRF (256: +0.25 s
+    # per N=3721 solve, 2 cores)
+    P = mu_grad * G0.T
+    for j in range(0, A.shape[1], 32):
+        A[:, j:j + 32] += P @ G0[:, j:j + 32]
     return A
 
 
 def normal_matrix(problem: CollocationProblem, asm: AssembledSystem) -> np.ndarray:
     """The normal-equation matrix of the quadratic objective."""
     pen = problem.penalties
-    return _normal_equations([asm.B], pen.eta, [(pen.mu_grad, asm.G0), (pen.mu_trace, asm.T),
-                                               (pen.mu_layer, asm.Y)])
+    return _normal_equations([asm.B], pen.eta, pen.mu_grad, asm.G0)
 
 
 # B and K entries per row panel, give or take a row: one panel while
@@ -357,17 +332,17 @@ def solve(problem: CollocationProblem, reference: Optional[Callable] = None) -> 
         def basis(M):
             return M
     else:
-        # Newton basis K(x, C) Lc^-T, with K(C, C) = Lc Lc.T: every row block
-        # of the objective is mapped by the same triangular factor
+        # Newton basis K(x, C) Lc^-T, with K(C, C) = Lc Lc.T: B's panels and
+        # G0 are mapped by the same triangular factor
         centers = np.array(greedy[1])
         C, Lc = X[centers], greedy[0][:, centers].T
 
         def basis(M):
             return scipy.linalg.solve_triangular(Lc, M.T, lower=True).T
 
-    G0, T, Y = _penalty_rows(problem, C)
-    _require_finite(G0, T, Y)
-    terms = [(pen.mu_grad, basis(G0)), (pen.mu_trace, basis(T)), (pen.mu_layer, basis(Y))]
+    G0 = _kernel_gradients(problem.kernel, problem.anchor_point, C)
+    _require_finite(G0)
+    G0b = basis(G0)
     rows = residual_rows(problem.kernel, eval_field(problem.system, X), problem.lam, X, C)
     panels = _panels(n, len(C))
     Bbuf, Kbuf = np.empty((panels[0].stop, len(C))), np.empty((panels[0].stop, len(C)))
@@ -378,8 +353,8 @@ def solve(problem: CollocationProblem, reference: Optional[Callable] = None) -> 
             _require_finite(B)
             yield basis(B)
 
-    beta = _solve_spd(lambda: _normal_equations(mapped_panels(), pen.eta, terms),
-                      pen.mu_grad * terms[0][1].T @ w)
+    beta = _solve_spd(lambda: _normal_equations(mapped_panels(), pen.eta, pen.mu_grad, G0b),
+                      pen.mu_grad * G0b.T @ w)
     if centers is None:
         coef = alpha = beta
     else:

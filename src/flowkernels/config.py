@@ -164,10 +164,7 @@ def _cubic1d_solve(name: str, kernel: Dict[str, str]) -> ExperimentConfig:
     s["eigenvalue"] = {"value": "1"}
     s["kernel"] = kernel
     s["grid"] = {"bounds": "-0.99:0.99", "counts": "199"}
-    s["penalties"] = {
-        "eta": "1e-8", "mu_grad": "1e4",
-        "mu_trace": "1e2", "mu_layer": "1e2",
-    }
+    s["penalties"] = {"eta": "1e-8", "mu_grad": "1e4"}
     return ExperimentConfig(sections=s)
 
 

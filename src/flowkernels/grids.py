@@ -1,4 +1,4 @@
-"""Uniform tensor grids and boundary point selection for collocation."""
+"""Uniform tensor grids: the point clouds that collocation and the CLI run on."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ConfigurationError, count
 
-__all__ = ["tensor_grid", "boundary_sets"]
+__all__ = ["tensor_grid"]
 
 
 def tensor_grid(bounds, counts) -> np.ndarray:
@@ -26,24 +26,3 @@ def tensor_grid(bounds, counts) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
-
-def boundary_sets(points):
-    """Split off the outermost points and the near-boundary band of a grid.
-
-    Returns (trace, layer): trace holds points with some coordinate at its
-    axis extreme; layer holds points whose scaled sup-norm distance from the
-    grid center exceeds 0.9 of the half-width.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = hi - lo
-    tol = 1e-12 * np.maximum(span, 1.0)
-    on_edge = (np.abs(pts - lo) <= tol) | (np.abs(pts - hi) <= tol)
-    trace = pts[np.any(on_edge, axis=1)]
-
-    center = 0.5 * (lo + hi)
-    half = np.where(span > 0, 0.5 * span, 1.0)
-    scaled = np.abs(pts - center) / half
-    layer = pts[np.max(scaled, axis=1) > 0.9]
-    return trace, layer

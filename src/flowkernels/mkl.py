@@ -210,7 +210,7 @@ def mkl_solve(system: SystemDef, lam: float, points, cfg: MKLConfig,
         # the mixture slabs on scipy's BLAS, whose POTRF factors them next
         B = _matvec(Bs.reshape(L, -1).T, beta).reshape(n, n)
         G0 = _matvec(G0s.reshape(L, -1).T, beta).reshape(G0s.shape[1:])
-        alpha = _solve_spd(lambda: _normal_equations([B], cfg.eta, [(cfg.mu_grad, G0)]),
+        alpha = _solve_spd(lambda: _normal_equations([B], cfg.eta, cfg.mu_grad, G0),
                            cfg.mu_grad * G0.T @ w)
         r = _matvec(B, alpha)
         a_gap = G0 @ alpha - w

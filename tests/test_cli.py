@@ -329,9 +329,9 @@ _CONFIG_CASES = {
                                     "command = mercer\nseed = 0\n"), "mercer", 2),
     "solve_penalty_typo": (_edit(preset("poly2d_kernel_study").to_string(), "mu_grad = 1e4\n",
                                  "mu_grad = 1e4\nmu_trac = -1\n"), "solve", 2),
-    # a boundary term is on exactly when its weight is positive; no switch
-    "solve_boundary_switch": (_edit(preset("cubic1d_singular").to_string(), "mu_layer = 1e2\n",
-                                    "mu_layer = 1e2\nboundary = on\n"), "solve", 2),
+    # no boundary penalty: neither a switch nor a weight
+    "solve_boundary_switch": (_edit(preset("cubic1d_singular").to_string(), "mu_grad = 1e4\n",
+                                    "mu_grad = 1e4\nboundary = on\n"), "solve", 2),
     "mkl_boundary_penalties": (_edit(preset("poly2d_mkl_l1").to_string(), "mu_grad = 1e4\n",
                                      "mu_grad = 1e4\nboundary = on\nmu_trace = -5\n"),
                                "mkl", 2),
@@ -462,6 +462,11 @@ class TestPresets:
         m = read_metrics(tmp_path / "cubic1d_singular_metrics.txt")
         assert float(m["rmse_rescaled"]) <= 5e-4
         assert float(m["residual_norm"]) < 1e-10
+        # nothing pulls phi away from the anchor's normalization, so phi is
+        # the reference itself, not a multiple of it
+        assert float(m["anchor_error"]) <= 1e-10
+        assert abs(float(m["c_star"]) - 1.0) <= 1e-10
+        assert float(m["rmse_raw"]) <= 1e-10
 
     @pytest.mark.parametrize("name, n_centers", [("cubic1d_singular", 1), ("cubic1d_rbf", 199)])
     def test_solve_metrics_report_the_basis_size(self, name, n_centers, tmp_path):
@@ -532,26 +537,28 @@ class TestLibraryDefaults:
         assert int(m["rule_n"]) == QuadratureRule.n and m["scheme"] == QuadratureRule.scheme
         assert float(m["c"]) == AdvectionProblem.c and float(m["lam"]) == AdvectionProblem.lam
 
-    def test_left_out_boundary_weights_are_zero(self, tmp_path):
-        cfg = preset("cubic1d_singular")
+    def test_left_out_penalty_weights_are_the_defaults(self, tmp_path):
+        # the preset sets PenaltyConfig's defaults, and another anchor weight counts
+        cfg = preset("cubic1d_rbf")
         text = cfg.to_string()
-        bare = _edit(text, "mu_trace = 1e2\nmu_layer = 1e2\n", "")
-        zero = _edit(text, "mu_trace = 1e2\nmu_layer = 1e2\n", "mu_trace = 0\nmu_layer = 0\n")
-        for label, body in (("bare", bare), ("zero", zero), ("preset", text)):
+        bare = _edit(text, "eta = 1e-8\nmu_grad = 1e4\n", "")
+        other = _edit(text, "mu_grad = 1e4\n", "mu_grad = 1e2\n")
+        for label, body in (("bare", bare), ("preset", text), ("other", other)):
             path = write_config(tmp_path, body, name=f"{label}.ini")
             assert main(["solve", "--config", path, "--out", str(tmp_path / label)]) == 0
         name = f"{cfg.name}_solution.csv"
         solution = {label: (tmp_path / label / name).read_bytes()
-                    for label in ("bare", "zero", "preset")}
-        assert solution["bare"] == solution["zero"] != solution["preset"]
+                    for label in ("bare", "preset", "other")}
+        assert solution["bare"] == solution["preset"] != solution["other"]
 
     @pytest.mark.parametrize("key", ["mu_trace", "mu_layer"])
-    def test_negative_boundary_weight_is_a_config_error(self, key, tmp_path, capsys):
-        text = _edit(preset("poly2d_kernel_study").to_string(), "mu_grad = 1e4\n",
-                     f"mu_grad = 1e4\n{key} = -1\n")
+    def test_retired_boundary_weight_is_a_config_error(self, key, tmp_path, capsys):
+        # the weights the cubic1d presets once set: an old config exits 2
+        text = _edit(preset("cubic1d_singular").to_string(), "mu_grad = 1e4\n",
+                     f"mu_grad = 1e4\n{key} = 1e2\n")
         path = write_config(tmp_path, text)
         assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert key in capsys.readouterr().err
+        assert f"solve command does not read [penalties] {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -29,7 +29,7 @@ from flowkernels.dynamics import (
     poly2d_reference_eigenfunctions,
 )
 from flowkernels.errors import ConfigurationError, NumericalError
-from flowkernels.grids import boundary_sets, tensor_grid
+from flowkernels.grids import tensor_grid
 from flowkernels.kernels import RankOneKernel, make_kernel
 from flowkernels.path_integral import XiEvaluator, residual_values
 
@@ -64,12 +64,13 @@ class TestProblemValidation:
         with pytest.raises(ConfigurationError):
             PenaltyConfig(mu_grad=0.0)
 
-    def test_penalties_are_four_weights_with_boundary_terms_off_by_default(self):
-        # a boundary term is on exactly when its weight is positive
+    def test_penalties_are_the_ridge_and_the_anchor(self):
+        # no boundary penalty: neither a switch nor a weight
         assert {f.name: f.default for f in dataclasses.fields(PenaltyConfig)} == {
-            "eta": 1e-8, "mu_grad": 1e4, "mu_trace": 0.0, "mu_layer": 0.0}
-        with pytest.raises(TypeError, match="boundary"):
-            PenaltyConfig(boundary=True)
+            "eta": 1e-8, "mu_grad": 1e4}
+        for key in ("boundary", "mu_trace", "mu_layer"):
+            with pytest.raises(TypeError, match=key):
+                PenaltyConfig(**{key: 1e2})
 
     def test_for_eigenvalue_fills_anchor_from_linearization(self):
         sys2 = make_system("poly2d")
@@ -128,53 +129,12 @@ class TestAssemble:
         with pytest.raises(ConfigurationError, match="index 1"):
             assemble(prob)
 
-    def test_boundary_rows_match_penalty_sets(self):
-        pts = cubic_grid()
-        trace, layer = boundary_sets(pts)
-        prob = CollocationProblem.for_eigenvalue(
-            make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3), pts,
-            PenaltyConfig(mu_trace=1e2, mu_layer=1e2),
-        )
-        asm = assemble(prob)
-        assert asm.T.shape == (len(trace), len(pts))
-        assert asm.Y.shape == (len(layer), len(pts))
-        # layer rows carry the 1/sqrt(m) mean-square scaling
-        raw = prob.kernel.pairwise(layer, pts)
-        np.testing.assert_allclose(asm.Y, raw / np.sqrt(len(layer)), atol=1e-15)
-
-    @pytest.mark.parametrize("boundary", [True, False])
-    def test_boundary_rows_are_the_problems_boundary_sets(self, boundary):
-        # positive weights give the rows of the grid's boundary sets; zero
-        # weights, the default, give no rows at all
-        pts = tensor_grid([(-1, 1), (-1, 1)], 7)
-        prob = CollocationProblem.for_eigenvalue(
-            make_system("poly2d"), -1.0, make_kernel("gaussian", gamma=1.0), pts,
-            PenaltyConfig(mu_trace=1e2, mu_layer=1e2) if boundary else PenaltyConfig(),
-        )
-        asm = assemble(prob)
-        trace, layer = boundary_sets(pts) if boundary else (pts[:0], pts[:0])
-        assert asm.T.shape == (len(trace), len(pts)) and asm.Y.shape == (len(layer), len(pts))
-        if boundary:
-            assert np.array_equal(asm.T, prob.kernel.pairwise(trace, pts))
-            assert np.array_equal(asm.Y, prob.kernel.pairwise(layer, pts) / np.sqrt(len(layer)))
-
-    def test_zero_weight_drops_its_boundary_rows(self):
-        pts = cubic_grid()
-        prob = CollocationProblem.for_eigenvalue(
-            make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3), pts,
-            PenaltyConfig(mu_layer=1e2),
-        )
-        asm = assemble(prob)
-        assert asm.T.shape == (0, len(pts))
-        assert asm.Y.shape == (len(boundary_sets(pts)[1]), len(pts))
-
 
 class TestSolve:
     def test_cubic1d_singular_kernel_recovers_reference(self):
         pts = cubic_grid()
         prob = CollocationProblem.for_eigenvalue(
             make_system("cubic1d"), 1.0, make_kernel("singular_1d"), pts,
-            PenaltyConfig(mu_trace=1e2, mu_layer=1e2),
         )
         sol = solve(prob, reference=cubic_reference)
         assert sol.rmse_rescaled <= 5e-4
@@ -182,8 +142,7 @@ class TestSolve:
     def test_cubic1d_gaussian_misspecification(self):
         pts = cubic_grid()
         prob = CollocationProblem.for_eigenvalue(
-            make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3),
-            pts, PenaltyConfig(mu_trace=1e2, mu_layer=1e2),
+            make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3), pts,
         )
         sol = solve(prob, reference=cubic_reference)
         assert sol.rmse_rescaled >= 0.5
@@ -236,16 +195,12 @@ class TestSolve:
         pts = cubic_grid()
         prob = CollocationProblem.for_eigenvalue(
             make_system("cubic1d"), 1.0, make_kernel("gaussian", ell=0.3), pts,
-            PenaltyConfig(mu_trace=1e2, mu_layer=1e2),
         )
         asm = assemble(prob)
         pen = prob.penalties
-        assert asm.T.size and asm.Y.size
         n = len(pts)
         plain = asm.B.T @ asm.B / n + pen.eta * np.eye(n)
         plain += (pen.mu_grad * asm.G0.T) @ asm.G0
-        plain += (pen.mu_trace * asm.T.T) @ asm.T
-        plain += (pen.mu_layer * asm.Y.T) @ asm.Y
         assert np.array_equal(np.tril(normal_matrix(prob, asm)), np.tril(plain))
 
     def test_anchor_target_scale_covariance(self):
@@ -260,19 +215,6 @@ class TestSolve:
         a1 = solve(base).alpha
         a2 = solve(doubled).alpha
         assert np.abs(a2 - 2 * a1).max() <= 1e-10 * max(1.0, np.abs(a1).max())
-
-    def test_trace_penalty_monotonicity(self):
-        pts = cubic_grid()
-        trace, _ = boundary_sets(pts)
-        sys1 = make_system("cubic1d")
-        kern = make_kernel("gaussian", ell=0.3)
-        sums = []
-        for mu_t in (1.0, 1e2, 1e4):
-            pen = PenaltyConfig(mu_trace=mu_t)
-            sol = solve(CollocationProblem.for_eigenvalue(sys1, 1.0, kern, pts, pen))
-            sums.append(float(np.sum(evaluate(sol, trace) ** 2)))
-        assert sums[1] <= sums[0] + 1e-12
-        assert sums[2] <= sums[1] + 1e-12
 
     def test_anchor_efficacy(self):
         prob = CollocationProblem.for_eigenvalue(

@@ -206,6 +206,18 @@ def test_field_cast_to_float_rejected():
         dyn.linearize(cast)
 
 
+def test_non_analytic_field_rejected():
+    # the field stays complex, but abs takes the modulus of x1 - 0.5 + ih, so
+    # the complex step reads E21 = 0 where a central difference reads -1
+    def f(x):
+        return np.stack([-x[..., 0], 3 * x[..., 1] + np.abs(x[..., 0] - 0.5)], axis=-1)
+
+    kink = dyn.SystemDef("kink", 2, f, equilibrium=np.array([0.0, -1 / 6]))
+    with pytest.raises(ConfigurationError,
+                       match="'kink' is not complex-analytic .* is 1.000e\\+00 from a central"):
+        dyn.linearize(kink)
+
+
 def test_eigenpair_lookup(duffing):
     lin = dyn.linearize(duffing)
     lam, w = lin.eigenpair(0.78077641, tol=1e-6)
